@@ -14,6 +14,7 @@ single N(0, L^2) coarse coefficient, synthesized through the inverse DWT and
 evaluated on the grid with the sampled father wavelet.
 """
 
+import functools
 import json
 import math
 import os
@@ -303,10 +304,19 @@ def sample_prior(prior, grid, rng):
     top = prior.J_max + 1
     if 2 ** top > grid.n:
         raise ValueError("grid too coarse for the prior depth: need 2^(J_max+1) <= n")
-    bank = daubechies_filters(prior.M, grid.dim)
+    bank, phi = _prior_pieces(prior.M, top, grid.n, grid.dim)
     s_top = dwt_inverse(_draw_coefficients(prior, grid.dim, rng), bank)
-    phi = sample_father_wavelet(prior.M, top, grid.n, grid.dim)
     return grid_synthesis(s_top.values, phi, top, grid)
+
+
+@functools.lru_cache(maxsize=32)
+def _prior_pieces(M, J, n, dim):
+    """The prior's filter bank and sampled father wavelet, built once, read-only."""
+    bank = daubechies_filters(M, dim)
+    phi = sample_father_wavelet(M, J, n, dim)
+    for a in [phi, bank.h.values] + [g.values for g in bank.g]:
+        a.flags.writeable = False
+    return bank, phi
 
 
 def prior_second_moment(prior, dim):
@@ -318,25 +328,37 @@ def prior_second_moment(prior, dim):
     return total
 
 
+def _spatial_axes(grid):
+    return tuple(range(-grid.dim, 0))
+
+
 def grid_synthesis(coeff_values, phi, J, grid):
-    """Sum_k c_k phi(. - k 2^{-J}) evaluated on the grid (circular)."""
+    """Sum_k c_k phi(. - k 2^{-J}) evaluated on the grid (circular).
+
+    Leading axes of ``coeff_values`` beyond the (2^J,)^d block are batch axes.
+    """
     coeff_values = np.asarray(coeff_values, dtype=float)
-    if coeff_values.shape != (2 ** J,) * grid.dim:
+    if coeff_values.shape[coeff_values.ndim - grid.dim:] != (2 ** J,) * grid.dim:
         raise ValueError("coefficient shape must be (2^J,)^d")
     stride = grid.n // 2 ** J
-    up = np.zeros(grid.shape)
-    up[tuple(slice(None, None, stride) for _ in range(grid.dim))] = coeff_values
-    return np.fft.ifftn(np.fft.fftn(up) * np.fft.fftn(phi)).real
+    axes = _spatial_axes(grid)
+    up = np.zeros(coeff_values.shape[:coeff_values.ndim - grid.dim] + grid.shape)
+    up[(Ellipsis,) + tuple(slice(None, None, stride) for _ in axes)] = coeff_values
+    return np.fft.ifftn(np.fft.fftn(up, axes=axes) * np.fft.fftn(phi), axes=axes).real
 
 
 def grid_analysis(g, psi, J, grid):
-    """Quadrature inner products h^d sum_i g_i psi(x_i - k 2^{-J}), all k."""
+    """Quadrature inner products h^d sum_i g_i psi(x_i - k 2^{-J}), all k.
+
+    Leading axes of ``g`` beyond the grid shape are batch axes.
+    """
     g = np.asarray(g, dtype=float)
-    if g.shape != grid.shape:
+    if g.shape[g.ndim - grid.dim:] != grid.shape:
         raise ValueError("sample shape does not match grid")
-    corr = np.fft.ifftn(np.fft.fftn(g) * np.conj(np.fft.fftn(psi))).real
+    axes = _spatial_axes(grid)
+    corr = np.fft.ifftn(np.fft.fftn(g, axes=axes) * np.conj(np.fft.fftn(psi)), axes=axes).real
     stride = grid.n // 2 ** J
-    take = corr[tuple(slice(None, None, stride) for _ in range(grid.dim))]
+    take = corr[(Ellipsis,) + tuple(slice(None, None, stride) for _ in axes)]
     return grid.h ** grid.dim * take
 
 
@@ -411,6 +433,11 @@ def load_training_set(path):
     shape = (doc["n_samples"],) + grid.shape
     if doc["sidecar"] is not None:
         sidecar = os.path.join(os.path.dirname(str(path)) or ".", doc["sidecar"])
+        want = 2 * doc["n_samples"] * grid.size * 8
+        got = os.path.getsize(sidecar)
+        if got != want:
+            raise ValueError(f"{sidecar}: {got} bytes, expected {want} for "
+                             f"{doc['n_samples']} samples on a {grid.shape} grid")
         blob = np.fromfile(sidecar, dtype="<f8")
         half = blob.size // 2
         Y = blob[:half].reshape(shape).astype(float)
@@ -418,5 +445,8 @@ def load_training_set(path):
     else:
         Y = np.asarray(doc["Y"], dtype=float)
         F = np.asarray(doc["F"], dtype=float)
+        for name, arr in (("Y", Y), ("F", F)):
+            if arr.shape != shape:
+                raise ValueError(f"{path}: {name} has shape {arr.shape}, expected {shape}")
     return TrainingSet(Y, F, float(doc["sigma"]), grid, doc["op"],
                        doc.get("prior"), doc.get("seed"))

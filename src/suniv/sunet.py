@@ -33,7 +33,7 @@ from .forward_model import (
     sobolev_norm,
     vaguelette,
 )
-from .tensor_ops import DTensor, down_conv, dt_add, l2_norm, reflect, restrict, up_conv
+from .tensor_ops import DTensor, _down, _tap_sums, _up, dt_add, l2_norm, reflect
 from .wavelets import daubechies_filters, sample_father_wavelet, soft_threshold
 
 BOUNDARY_MODES = ("zero", "periodic")
@@ -227,15 +227,42 @@ def _coefficient_window(J, dim):
     return (0,) * dim, (2 ** J - 1,) * dim
 
 
-def _fold_coefficients(t, J, dim):
-    """Wrap a DTensor onto the depth-J index box modulo 2^J."""
-    n = 2 ** J
-    out = np.zeros((n,) * dim)
-    idx = tuple(
-        (np.arange(lo, hi + 1) % n) for lo, hi in zip(t.lo, t.hi)
-    )
-    np.add.at(out, np.ix_(*idx) if dim == 2 else idx[0], t.values)
+def _wrap_index(lo, shape, n):
+    """Index of a window at logical origin ``lo`` on the box [0, n)^d modulo n."""
+    idx = [np.arange(l, l + m) % n for l, m in zip(lo, shape)]
+    return (Ellipsis,) + (np.ix_(*idx) if len(idx) == 2 else tuple(idx))
+
+
+def _fold(values, lo, n):
+    """Sum a window at logical origin ``lo`` onto the box [0, n)^d modulo n."""
+    d = len(lo)
+    out = np.zeros(values.shape[:-d] + (n,) * d)
+    np.add.at(out, _wrap_index(lo, values.shape[-d:], n), values)
     return out
+
+
+def _sum_windows(parts):
+    """Sum of (values, lo) pairs on the union bounding box of their windows."""
+    d = len(parts[0][1])
+    lo = tuple(min(p[1][ax] for p in parts) for ax in range(d))
+    hi = tuple(max(p[1][ax] + p[0].shape[ax - d] for p in parts) for ax in range(d))
+    out = np.zeros(parts[0][0].shape[:-d] + tuple(h - l for l, h in zip(lo, hi)))
+    for v, vlo in parts:
+        out[(Ellipsis,) + tuple(slice(a - l, a - l + m)
+                                for a, l, m in zip(vlo, lo, v.shape[-d:]))] += v
+    return out, lo
+
+
+def _check_finite(x, what):
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{what} holds non-finite values")
+
+
+def _trace_map(trace, fn, g):
+    return ForwardTrace(
+        [fn(t) for t in trace.s], [[fn(t) for t in lv] for lv in trace.d],
+        [fn(t) for t in trace.s_bar], [[fn(t) for t in lv] for lv in trace.d_bar],
+        trace.input_kind, g)
 
 
 def forward(net, x):
@@ -243,126 +270,63 @@ def forward(net, x):
 
     ``x`` may be grid samples (the analysis layer is applied) or a
     precomputed coefficient DTensor on the depth-J index box (lo = 0,
-    2^J entries per axis), which skips the analysis quadrature.
+    2^J entries per axis), which skips the analysis quadrature.  Non-finite
+    inputs are rejected.
+    """
+    if isinstance(x, DTensor):
+        lo, hi = _coefficient_window(net.J, net.dim)
+        if x.lo != lo or x.hi != hi:
+            raise ValueError("coefficient input must cover the depth-J index box")
+        values, coefficients = x.values, True
+    else:
+        values, coefficients = np.asarray(x, dtype=float), False
+        if values.shape != net.grid.shape:
+            raise ValueError("grid input does not match the net's grid")
+    _check_finite(values, "network input")
+    out, trace = _forward_batch(net, values[None], coefficients)
+    g = None if coefficients else trace.g[0]
+    return out[0], _trace_map(trace, lambda t: DTensor(t[0][0], t[1]), g)
+
+
+def _forward_batch(net, X, coefficients=False):
+    """`forward` over the leading axis of X; the trace holds (values, lo) pairs.
+
+    Every trace array carries the batch axis first.  X is grid samples, or
+    depth-J coefficients when ``coefficients`` is set; it is not validated.
     """
     J, dim = net.J, net.dim
     periodic = net.boundary == "periodic"
-    if isinstance(x, DTensor):
-        lo, hi = _coefficient_window(J, dim)
-        if x.lo != lo or x.hi != hi:
-            raise ValueError("coefficient input must cover the depth-J index box")
-        s_top = x.copy()
-        input_kind, g = "coefficients", None
+    if coefficients:
+        s_top, g = np.array(X, dtype=float), None
     else:
-        g = np.asarray(x, dtype=float)
-        if g.shape != net.grid.shape:
-            raise ValueError("grid input does not match the net's grid")
-        s_top = first_layer(g, net.psi, J, net.grid)
-        input_kind = "grid"
+        g = X
+        s_top = grid_analysis(g, net.psi, J, net.grid)
 
     s = [None] * (J + 1)
     d = [None] * J
-    s[J] = s_top
+    s[J] = (s_top, (0,) * dim)
     for j in range(J - 1, -1, -1):
         try:
-            s[j] = down_conv(net.alpha[j], s[j + 1], periodic=periodic)
-            d[j] = [down_conv(f, s[j + 1], periodic=periodic) for f in net.beta[j]]
+            s[j] = _down(net.alpha[j], *s[j + 1], periodic)
+            d[j] = [_down(f, *s[j + 1], periodic) for f in net.beta[j]]
         except ValueError as exc:
             raise InternalConsistencyError(f"contracting level {j}: {exc}") from exc
 
+    d_bar = [[(soft_threshold(v, net.taus[j]), lo) for v, lo in d[j]] for j in range(J)]
     s_bar = [None] * (J + 1)
-    d_bar = [None] * J
-    s_bar[0] = s[0].copy()
-    for j in range(J):
-        d_bar[j] = [DTensor(soft_threshold(t.values, net.taus[j]), t.lo) for t in d[j]]
+    s_bar[0] = (s[0][0].copy(), s[0][1])
     for j in range(1, J + 1):
         try:
-            acc = up_conv(net.a[j - 1], s_bar[j - 1], periodic=periodic)
-            for f, t in zip(net.b[j - 1], d_bar[j - 1]):
-                acc = dt_add(acc, up_conv(f, t, periodic=periodic))
+            parts = [_up(net.a[j - 1], *s_bar[j - 1], periodic)]
+            parts += [_up(f, *t, periodic) for f, t in zip(net.b[j - 1], d_bar[j - 1])]
         except ValueError as exc:
             raise InternalConsistencyError(f"expanding level {j}: {exc}") from exc
-        s_bar[j] = acc
+        s_bar[j] = _sum_windows(parts)
 
-    coeffs = _fold_coefficients(s_bar[J], J, dim)
+    coeffs = _fold(*s_bar[J], 2 ** J)
     out = grid_synthesis(coeffs, net.phi, J, net.grid)
+    input_kind = "coefficients" if coefficients else "grid"
     return out, ForwardTrace(s, d, s_bar, d_bar, input_kind, g)
-
-
-def _filter_grad_down(gamma, x, G):
-    """d/d gamma_l of sum-loss for y = down_conv(gamma, x): sum_k G_k x_{2k-l}."""
-    vals = np.zeros(gamma.shape)
-    for pos in np.ndindex(*gamma.shape):
-        l = tuple(p + lo for p, lo in zip(pos, gamma.lo))
-        # terms with 2k - l inside x's window and k inside G's window
-        total = _strided_dot(G, x, l)
-        vals[pos] = total
-    return DTensor(vals, gamma.lo)
-
-
-def _filter_grad_up(gamma, x, G):
-    """d/d gamma_l of sum-loss for y = up_conv(gamma, x): sum_m x_m G_{2m-l}."""
-    vals = np.zeros(gamma.shape)
-    for pos in np.ndindex(*gamma.shape):
-        l = tuple(p + lo for p, lo in zip(pos, gamma.lo))
-        vals[pos] = _strided_dot(x, G, l)
-    return DTensor(vals, gamma.lo)
-
-
-def _strided_dot(outer, inner, l):
-    """sum over k of outer_k * inner_{2k - l}, both zero off their windows."""
-    sl_outer, sl_inner = [], []
-    for ax in range(outer.dim):
-        k0 = max(outer.lo[ax], -(-(inner.lo[ax] + l[ax]) // 2))
-        k1 = min(outer.hi[ax], (inner.hi[ax] + l[ax]) // 2)
-        if k0 > k1:
-            return 0.0
-        sl_outer.append(slice(k0 - outer.lo[ax], k1 - outer.lo[ax] + 1))
-        start = 2 * k0 - l[ax] - inner.lo[ax]
-        sl_inner.append(slice(start, start + 2 * (k1 - k0) + 1, 2))
-    return float(np.sum(outer.values[tuple(sl_outer)] * inner.values[tuple(sl_inner)]))
-
-
-def _filter_grad_down_periodic(gamma, x, G):
-    """Periodic-mode version of _filter_grad_down (all indices mod len(x))."""
-    n = x.shape
-    vals = np.zeros(gamma.shape)
-    ks = [np.arange(m) for m in G.shape]
-    for pos in np.ndindex(*gamma.shape):
-        l = tuple(p + lo for p, lo in zip(pos, gamma.lo))
-        idx = tuple((2 * k - li) % m for k, li, m in zip(ks, l, n))
-        sub = x.values[np.ix_(*idx) if x.dim == 2 else idx[0]]
-        vals[pos] = float(np.sum(G.values * sub))
-    return DTensor(vals, gamma.lo)
-
-
-def _filter_grad_up_periodic(gamma, x, G):
-    """Periodic-mode version of _filter_grad_up (indices mod len(G))."""
-    n = G.shape
-    vals = np.zeros(gamma.shape)
-    ms = [np.arange(m) for m in x.shape]
-    for pos in np.ndindex(*gamma.shape):
-        l = tuple(p + lo for p, lo in zip(pos, gamma.lo))
-        idx = tuple((2 * m - li) % mn for m, li, mn in zip(ms, l, n))
-        sub = G.values[np.ix_(*idx) if G.dim == 2 else idx[0]]
-        vals[pos] = float(np.sum(x.values * sub))
-    return DTensor(vals, gamma.lo)
-
-
-def _input_grad_up(gamma, G, window_lo, window_hi, periodic):
-    """Adjoint of up_conv(gamma, .) applied to G, on the given input window."""
-    out = down_conv(gamma, G, periodic=periodic)
-    if periodic:
-        return out
-    return restrict(out, window_lo, window_hi)
-
-
-def _input_grad_down(gamma, G, window_lo, window_hi, periodic):
-    """Adjoint of down_conv(gamma, .) applied to G, on the given input window."""
-    out = up_conv(gamma, G, periodic=periodic)
-    if periodic:
-        return out
-    return restrict(out, window_lo, window_hi)
 
 
 def backward(net, trace, residual):
@@ -373,74 +337,82 @@ def backward(net, trace, residual):
     forward pass consumed a coefficient input).  At soft-threshold kinks the
     subgradient value 0 is used.
     """
-    J, dim = net.J, net.dim
-    periodic = net.boundary == "periodic"
-    if len(trace.s) != J + 1 or len(trace.d) != J:
+    if len(trace.s) != net.J + 1 or len(trace.d) != net.J:
         raise ValueError("trace does not match the net's depth")
-    if trace.s[J].dim != dim:
+    if trace.s[net.J].dim != net.dim:
         raise ValueError("trace dimension does not match the net")
     residual = np.asarray(residual, dtype=float)
     if residual.shape != net.grid.shape:
         raise ValueError("residual must be sampled on the grid")
+    g = None if trace.g is None else trace.g[None]
+    batch = _trace_map(trace, lambda t: (t.values[None], t.lo), g)
+    return _backward_batch(net, batch, residual[None])
+
+
+def _backward_batch(net, trace, R, weight=1.0):
+    """Gradients of weight * sum_b 1/2 ||output_b - target_b||^2.
+
+    ``trace`` comes from `_forward_batch` and ``R`` holds the residuals
+    output - target, batch axis first.
+    """
+    J, dim, grid = net.J, net.dim, net.grid
+    periodic = net.boundary == "periodic"
+    n = 2 ** J
 
     # synthesis layer: d loss / d coeffs = analysis of the residual with phi
-    grad_fold = grid_analysis(residual, net.phi, J, net.grid)
-    top = trace.s_bar[J]
-    n = 2 ** J
-    idx = tuple(np.arange(lo, hi + 1) % n for lo, hi in zip(top.lo, top.hi))
-    G_sbar = DTensor(grad_fold[np.ix_(*idx) if dim == 2 else idx[0]], top.lo)
+    grad_fold = weight * grid_analysis(R, net.phi, J, grid)
+    top, G_lo = trace.s_bar[J]
+    G = grad_fold[_wrap_index(G_lo, top.shape[1:], n)]
 
     g_alpha = [None] * J
     g_beta = [None] * J
     g_a = [None] * J
     g_b = [None] * J
     g_taus = np.zeros(J)
-    fg_up = _filter_grad_up_periodic if periodic else _filter_grad_up
-    fg_down = _filter_grad_down_periodic if periodic else _filter_grad_down
 
     # expanding path, top down: split G over the level below and its details
     G_dbar = [None] * J
     for j in range(J, 0, -1):
-        x_s, x_d = trace.s_bar[j - 1], trace.d_bar[j - 1]
-        g_a[j - 1] = fg_up(net.a[j - 1], x_s, G_sbar)
-        g_b[j - 1] = [fg_up(f, t, G_sbar) for f, t in zip(net.b[j - 1], x_d)]
-        G_dbar[j - 1] = [
-            _input_grad_up(f, G_sbar, t.lo, t.hi, periodic)
-            for f, t in zip(net.b[j - 1], x_d)
-        ]
-        G_sbar = _input_grad_up(net.a[j - 1], G_sbar, x_s.lo, x_s.hi, periodic)
+        (x_s, s_lo), x_d = trace.s_bar[j - 1], trace.d_bar[j - 1]
+        g_a[j - 1] = _tap_sums(net.a[j - 1], x_s, s_lo, G, G_lo, periodic)
+        g_b[j - 1] = [_tap_sums(f, v, lo, G, G_lo, periodic)
+                      for f, (v, lo) in zip(net.b[j - 1], x_d)]
+        G_dbar[j - 1] = [_down(f, G, G_lo, periodic, (lo, v.shape[1:]))[0]
+                         for f, (v, lo) in zip(net.b[j - 1], x_d)]
+        G, G_lo = _down(net.a[j - 1], G, G_lo, periodic, (s_lo, x_s.shape[1:]))
 
     # activations: mask dead zones, accumulate threshold gradients
     G_d = [None] * J
     for j in range(J):
         G_d[j] = []
-        for e in range(net.n_detail):
-            dv = trace.d[j][e].values
+        for (dv, _), gv in zip(trace.d[j], G_dbar[j]):
             active = np.abs(dv) > net.taus[j]
-            gv = G_dbar[j][e].values
             g_taus[j] -= float(np.sum(np.sign(dv) * active * gv))
-            G_d[j].append(DTensor(active * gv, trace.d[j][e].lo))
+            G_d[j].append(active * gv)
 
-    # contracting path, bottom up: G_s[0] is the pass-through gradient
-    G_s = G_sbar
+    # contracting path, bottom up: G at level 0 is the pass-through gradient
     for j in range(J):
-        x = trace.s[j + 1]
-        g_alpha[j] = fg_down(net.alpha[j], x, G_s)
-        g_beta[j] = [fg_down(f, x, G_d[j][e]) for e, f in enumerate(net.beta[j])]
-        acc = _input_grad_down(net.alpha[j], G_s, x.lo, x.hi, periodic)
-        for e, f in enumerate(net.beta[j]):
-            acc = dt_add(acc, _input_grad_down(f, G_d[j][e], x.lo, x.hi, periodic))
-        G_s = acc
+        x, x_lo = trace.s[j + 1]
+        window = (x_lo, x.shape[1:])
+        g_alpha[j] = _tap_sums(net.alpha[j], G, G_lo, x, x_lo, periodic)
+        g_beta[j] = [_tap_sums(f, Gd, lo, x, x_lo, periodic)
+                     for f, Gd, (_, lo) in zip(net.beta[j], G_d[j], trace.d[j])]
+        acc = _up(net.alpha[j], G, G_lo, periodic, window)[0]
+        for f, Gd, (_, lo) in zip(net.beta[j], G_d[j], trace.d[j]):
+            acc = acc + _up(f, Gd, lo, periodic, window)[0]
+        G, G_lo = acc, x_lo
 
-    g_psi = np.zeros(net.grid.shape)
+    g_psi = np.zeros(grid.shape)
     if trace.input_kind == "grid":
         # s_k = h^d sum_i g_i psi_{i - k*stride}: correlate g with the
-        # upsampled coefficient gradient
-        stride = net.grid.n // n
-        up = np.zeros(net.grid.shape)
-        up[tuple(slice(None, None, stride) for _ in range(dim))] = G_s.values
-        corr = np.fft.ifftn(np.fft.fftn(trace.g) * np.conj(np.fft.fftn(up))).real
-        g_psi = net.grid.h ** dim * corr
+        # upsampled coefficient gradient, summed over the batch
+        stride = grid.n // n
+        axes = tuple(range(-dim, 0))
+        up = np.zeros(trace.g.shape)
+        up[(Ellipsis,) + tuple(slice(None, None, stride) for _ in axes)] = G
+        spec = np.sum(np.fft.fftn(trace.g, axes=axes) * np.conj(np.fft.fftn(up, axes=axes)),
+                      axis=0)
+        g_psi = grid.h ** dim * np.fft.ifftn(spec).real
 
     return Gradients(g_alpha, g_beta, g_a, g_b, g_taus, g_psi)
 

@@ -15,7 +15,14 @@ zero-extension; the output index range is the interval of k with at least one
 defined term.  With ``periodic=True`` the second argument is read as one
 period of a periodic signal with logical origin 0, index arithmetic is
 taken modulo the period, and the output has period n/2 (down) or 2n (up).
+
+Both are thin DTensor wrappers around the array primitives ``_down`` and
+``_up``, which treat the last d axes as spatial and any leading axes as batch
+axes; ``_tap_sums`` gives the filter gradients of either convolution.  The
+network and training code call the primitives directly on whole batches.
 """
+
+import functools
 
 import numpy as np
 
@@ -145,9 +152,114 @@ def tensor_product(u, v):
     return DTensor(np.outer(u.values, v.values), (u.lo[0], v.lo[0]))
 
 
-def _check_periodic_arg(a):
-    if any(l != 0 for l in a.lo):
+@functools.lru_cache(maxsize=4096)
+def _tap_windows(g_lo, g_shape, in_lo, in_shape, out_lo, out_shape, periodic):
+    """(tap, dst, src) index triples for y[k] += gamma[l] x[2k - l].
+
+    ``dst`` indexes the output window (``out_lo``, ``out_shape``) and ``src``
+    the input window; both start with an Ellipsis so that leading batch axes
+    pass through.  Taps whose terms all fall outside the windows are left
+    out.  Periodic windows start at 0 and wrap modulo the input period.
+    """
+    d = len(g_shape)
+    ks = [2 * np.arange(m) for m in out_shape]
+    out = []
+    for tap in np.ndindex(*g_shape):
+        l = [t + gl for t, gl in zip(tap, g_lo)]
+        if periodic:
+            idx = [np.mod(k - li, n) for k, li, n in zip(ks, l, in_shape)]
+            for a in idx:
+                a.flags.writeable = False  # cached and shared by every caller
+            src = np.ix_(*idx) if d == 2 else tuple(idx)
+            out.append((tap, (Ellipsis,), (Ellipsis,) + src))
+            continue
+        dst, src = [Ellipsis], [Ellipsis]
+        for ax in range(d):
+            # need in_lo <= 2k - l <= in_hi and out_lo <= k <= out_hi
+            k0 = max(out_lo[ax], -(-(in_lo[ax] + l[ax]) // 2))
+            k1 = min(out_lo[ax] + out_shape[ax] - 1,
+                     (in_lo[ax] + in_shape[ax] - 1 + l[ax]) // 2)
+            if k0 > k1:
+                break
+            dst.append(slice(k0 - out_lo[ax], k1 - out_lo[ax] + 1))
+            j0 = 2 * k0 - l[ax] - in_lo[ax]
+            src.append(slice(j0, j0 + 2 * (k1 - k0) + 1, 2))
+        else:
+            out.append((tap, tuple(dst), tuple(src)))
+    return tuple(out)
+
+
+def _check_periodic(lo):
+    if any(l != 0 for l in lo):
         raise ValueError("periodic mode requires the signal to have lo = 0")
+
+
+def _down(gamma, values, lo, periodic, window=None):
+    """down_conv on a raw array; returns (values, lo).
+
+    The last ``gamma.dim`` axes of ``values`` are spatial with logical origin
+    ``lo``; any leading axes are batch axes.  ``window`` = (lo, shape) fixes
+    the output window (zero mode only); by default it is every k with at
+    least one defined term.
+    """
+    d = gamma.dim
+    n = values.shape[values.ndim - d:]
+    if periodic:
+        _check_periodic(lo)
+        if any(m % 2 for m in n):
+            raise ValueError("periodic down_conv needs even period per axis")
+        window = ((0,) * d, tuple(m // 2 for m in n))
+    elif window is None:
+        out_lo = tuple(-(-(al + gl) // 2) for al, gl in zip(lo, gamma.lo))
+        out_hi = tuple((al + m - 1 + gh) // 2 for al, m, gh in zip(lo, n, gamma.hi))
+        window = (out_lo, tuple(h - l + 1 for l, h in zip(out_lo, out_hi)))
+    out = np.zeros(values.shape[:values.ndim - d] + window[1])
+    for tap, dst, src in _tap_windows(gamma.lo, gamma.shape, tuple(lo), n,
+                                      *window, periodic):
+        v = gamma.values[tap]
+        if v != 0.0:
+            out[dst] += v * values[src]
+    return out, window[0]
+
+
+def _up(gamma, values, lo, periodic, window=None):
+    """up_conv on a raw array, the adjoint of `_down`; returns (values, lo).
+
+    Axes and ``window`` are as for `_down`; the default window is every k
+    with at least one defined term.
+    """
+    d = gamma.dim
+    m = values.shape[values.ndim - d:]
+    if periodic:
+        _check_periodic(lo)
+        window = ((0,) * d, tuple(2 * k for k in m))
+    elif window is None:
+        out_lo = tuple(2 * al - gh for al, gh in zip(lo, gamma.hi))
+        out_hi = tuple(2 * (al + k - 1) - gl for al, k, gl in zip(lo, m, gamma.lo))
+        window = (out_lo, tuple(h - l + 1 for l, h in zip(out_lo, out_hi)))
+    out = np.zeros(values.shape[:values.ndim - d] + window[1])
+    for tap, dst, src in _tap_windows(gamma.lo, gamma.shape, *window,
+                                      tuple(lo), m, periodic):
+        v = gamma.values[tap]
+        if v != 0.0:
+            out[src] += v * values[dst]
+    return out, window[0]
+
+
+def _tap_sums(gamma, small, small_lo, big, big_lo, periodic):
+    """Per tap l of gamma, the sum over all axes of small[k] big[2k - l].
+
+    This is the filter gradient of both convolutions: for y = down_conv(gamma,
+    x) it is d/d gamma with small = dL/dy and big = x, for y = up_conv(gamma,
+    x) with small = x and big = dL/dy.  Leading batch axes are summed over.
+    """
+    d = gamma.dim
+    out = np.zeros(gamma.shape)
+    for tap, dst, src in _tap_windows(
+            gamma.lo, gamma.shape, tuple(big_lo), big.shape[big.ndim - d:],
+            tuple(small_lo), small.shape[small.ndim - d:], periodic):
+        out[tap] = np.vdot(small[dst], big[src])
+    return DTensor(out, gamma.lo)
 
 
 def down_conv(gamma, a, periodic=False):
@@ -160,50 +272,7 @@ def down_conv(gamma, a, periodic=False):
     """
     if gamma.dim != a.dim:
         raise ValueError("dimension mismatch in down_conv")
-    if periodic:
-        return _down_conv_periodic(gamma, a)
-    d = a.dim
-    out_lo = tuple(-(-(al + gl) // 2) for al, gl in zip(a.lo, gamma.lo))
-    out_hi = tuple((ah + gh) // 2 for ah, gh in zip(a.hi, gamma.hi))
-    out = np.zeros(tuple(h - l + 1 for l, h in zip(out_lo, out_hi)))
-    for tap in np.ndindex(*gamma.shape):
-        v = gamma.values[tap]
-        if v == 0.0:
-            continue
-        l = tuple(t + gl for t, gl in zip(tap, gamma.lo))
-        dst, src = [], []
-        ok = True
-        for ax in range(d):
-            # need a.lo <= 2k - l <= a.hi and out_lo <= k <= out_hi
-            k0 = max(out_lo[ax], -(-(a.lo[ax] + l[ax]) // 2))
-            k1 = min(out_hi[ax], (a.hi[ax] + l[ax]) // 2)
-            if k0 > k1:
-                ok = False
-                break
-            dst.append(slice(k0 - out_lo[ax], k1 - out_lo[ax] + 1))
-            j0 = 2 * k0 - l[ax] - a.lo[ax]
-            src.append(slice(j0, j0 + 2 * (k1 - k0) + 1, 2))
-        if ok:
-            out[tuple(dst)] += v * a.values[tuple(src)]
-    return DTensor(out, out_lo)
-
-
-def _down_conv_periodic(gamma, a):
-    _check_periodic_arg(a)
-    d = a.dim
-    n = a.shape
-    if any(m % 2 for m in n):
-        raise ValueError("periodic down_conv needs even period per axis")
-    out = np.zeros(tuple(m // 2 for m in n))
-    axes_idx = [2 * np.arange(m // 2) for m in n]
-    for tap in np.ndindex(*gamma.shape):
-        v = gamma.values[tap]
-        if v == 0.0:
-            continue
-        l = tuple(t + gl for t, gl in zip(tap, gamma.lo))
-        idx = [np.mod(axes_idx[ax] - l[ax], n[ax]) for ax in range(d)]
-        out += v * a.values[np.ix_(*idx)] if d == 2 else v * a.values[idx[0]]
-    return DTensor(out, (0,) * d)
+    return DTensor(*_down(gamma, a.values, a.lo, periodic))
 
 
 def up_conv(gamma, a, periodic=False):
@@ -215,40 +284,4 @@ def up_conv(gamma, a, periodic=False):
     """
     if gamma.dim != a.dim:
         raise ValueError("dimension mismatch in up_conv")
-    if periodic:
-        return _up_conv_periodic(gamma, a)
-    d = a.dim
-    out_lo = tuple(2 * al - gh for al, gh in zip(a.lo, gamma.hi))
-    out_hi = tuple(2 * ah - gl for ah, gl in zip(a.hi, gamma.lo))
-    out = np.zeros(tuple(h - l + 1 for l, h in zip(out_lo, out_hi)))
-    for tap in np.ndindex(*gamma.shape):
-        v = gamma.values[tap]
-        if v == 0.0:
-            continue
-        l = tuple(t + gl for t, gl in zip(tap, gamma.lo))
-        dst = []
-        for ax in range(d):
-            # entry a[m] lands at k = 2m - l
-            t0 = 2 * a.lo[ax] - l[ax] - out_lo[ax]
-            dst.append(slice(t0, t0 + 2 * a.shape[ax], 2))
-        out[tuple(dst)] += v * a.values
-    return DTensor(out, out_lo)
-
-
-def _up_conv_periodic(gamma, a):
-    _check_periodic_arg(a)
-    d = a.dim
-    n = a.shape
-    out = np.zeros(tuple(2 * m for m in n))
-    axes_idx = [2 * np.arange(m) for m in n]
-    for tap in np.ndindex(*gamma.shape):
-        v = gamma.values[tap]
-        if v == 0.0:
-            continue
-        l = tuple(t + gl for t, gl in zip(tap, gamma.lo))
-        idx = [np.mod(axes_idx[ax] - l[ax], 2 * n[ax]) for ax in range(d)]
-        if d == 2:
-            out[np.ix_(*idx)] += v * a.values
-        else:
-            out[idx[0]] += v * a.values
-    return DTensor(out, (0,) * d)
+    return DTensor(*_up(gamma, a.values, a.lo, periodic))

@@ -23,14 +23,13 @@ from .forward_model import (
     sample_prior,
 )
 from .sunet import (
-    Gradients,
-    backward,
-    forward,
+    _backward_batch,
+    _check_finite,
+    _forward_batch,
     preset_wavelet_thresholding,
     preset_wvd,
     project_constraints,
 )
-from .tensor_ops import DTensor
 
 
 class NumericalFailure(RuntimeError):
@@ -108,15 +107,18 @@ class TrainHistory:
                 fh.write(f"{e},{r!r},{s!r},{wc!r}\n")
 
 
+def _squared_errors(net, Y, F):
+    """Squared quadrature L2 error of the net output per (Y, F) pair."""
+    out, _ = _forward_batch(net, Y)
+    grid = net.grid
+    return grid.h ** grid.dim * np.sum((out - F) ** 2, axis=tuple(range(1, out.ndim)))
+
+
 def empirical_risk(net, data):
     """Sum over the training pairs of the squared quadrature L2 error."""
     if data.grid != net.grid:
         raise ValueError("training data grid does not match the net")
-    total = 0.0
-    for i in range(data.n_samples):
-        out, _ = forward(net, data.Y[i])
-        total += quadrature_norm(out - data.F[i], net.grid) ** 2
-    return total
+    return float(np.sum(_squared_errors(net, data.Y, data.F)))
 
 
 def _lattice_spectrum(filt, shape):
@@ -190,27 +192,6 @@ def reference_preset(net, data):
     return universal_preset(op, net.M, net.J, data.sigma, net.boundary)
 
 
-def _grad_zeros(net):
-    return Gradients(
-        alpha=[DTensor(np.zeros(f.shape), f.lo) for f in net.alpha],
-        beta=[[DTensor(np.zeros(f.shape), f.lo) for f in g] for g in net.beta],
-        a=[DTensor(np.zeros(f.shape), f.lo) for f in net.a],
-        b=[[DTensor(np.zeros(f.shape), f.lo) for f in g] for g in net.b],
-        taus=np.zeros(net.J),
-        psi=np.zeros(net.grid.shape),
-    )
-
-
-def _grad_add(total, g, weight):
-    for t, s in zip(total.alpha + total.a, g.alpha + g.a):
-        t.values += weight * s.values
-    for tl, sl in zip(total.beta + total.b, g.beta + g.b):
-        for t, s in zip(tl, sl):
-            t.values += weight * s.values
-    total.taus += weight * g.taus
-    total.psi += weight * g.psi
-
-
 def _grad_finite(g):
     arrays = [f.values for f in g.alpha + g.a]
     arrays += [f.values for lv in g.beta + g.b for f in lv]
@@ -236,14 +217,12 @@ def _mean_gradient(net, data, indices, epoch, rng, jitter):
         grad_net = net.copy()
         grad_net.taus = np.maximum(
             0.0, grad_net.taus + rng.uniform(-jitter, jitter, net.J))
-    total = _grad_zeros(net)
-    for i in indices:
-        out, trace = forward(grad_net, data.Y[i])
-        g = backward(grad_net, trace, out - data.F[i])
-        _grad_add(total, g, 1.0 / len(indices))
-    if not _grad_finite(total):
+    Y, F = data.Y[indices], data.F[indices]
+    out, trace = _forward_batch(grad_net, Y)
+    grads = _backward_batch(grad_net, trace, out - F, 1.0 / len(Y))
+    if not _grad_finite(grads):
         raise NumericalFailure(epoch, "non-finite gradient")
-    return total
+    return grads
 
 
 def train_erm(init, data, params=None, cfg=None):
@@ -260,6 +239,8 @@ def train_erm(init, data, params=None, cfg=None):
         raise ValueError("no class parameters given or stored on the init net")
     if data.grid != init.grid:
         raise ValueError("training data grid does not match the net")
+    _check_finite(data.Y, "training observations Y")
+    _check_finite(data.F, "training targets F")
 
     net = project_constraints(init, params)
     history = TrainHistory(projections=1)
@@ -280,7 +261,7 @@ def train_erm(init, data, params=None, cfg=None):
             break
         t0 = time.perf_counter()
         if batch >= N:
-            grads = _mean_gradient(net, data, range(N), epoch, rng, cfg.jitter)
+            grads = _mean_gradient(net, data, slice(None), epoch, rng, cfg.jitter)
             candidate = project_constraints(_step(net, grads, eta), params)
             history.projections += 1
             cand_risk = empirical_risk(candidate, data)
@@ -320,12 +301,12 @@ def test_risk(net, op, prior, sigma, trials, rng):
     """
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
-    errs = np.empty(trials)
+    F = np.empty((trials,) + op.grid.shape)
+    Y = np.empty_like(F)
     for t in range(trials):
-        f = sample_prior(prior, op.grid, rng)
-        y = add_white_noise(apply(op, f), sigma, op.grid, rng)
-        out, _ = forward(net, y)
-        errs[t] = quadrature_norm(out - f, op.grid) ** 2
+        F[t] = sample_prior(prior, op.grid, rng)
+        Y[t] = add_white_noise(apply(op, F[t]), sigma, op.grid, rng)
+    errs = _squared_errors(net, Y, F)
     return float(errs.mean()), float(errs.std(ddof=1) / np.sqrt(trials))
 
 
@@ -344,11 +325,8 @@ def risk_bound_check(net, op, f, sigma, trials, rng):
         raise ValueError("need at least 2 trials for a standard error")
     grid = net.grid
     clean = apply(op, f)
-    errs = np.empty(trials)
-    for t in range(trials):
-        y = add_white_noise(clean, sigma, grid, rng)
-        out, _ = forward(net, y)
-        errs[t] = quadrature_norm(out - f, grid) ** 2
+    Y = np.stack([add_white_noise(clean, sigma, grid, rng) for _ in range(trials)])
+    errs = _squared_errors(net, Y, f)
     mean = float(errs.mean())
     se = float(errs.std(ddof=1) / np.sqrt(trials))
     f_sq = quadrature_norm(f, grid) ** 2

@@ -1,0 +1,238 @@
+"""Seeded fuzz tests of the batch-aware core against per-sample references.
+
+The private primitives `_down`/`_up`/`_tap_sums` and the batch functions
+`_forward_batch`/`_backward_batch` carry every forward and backward pass;
+the public per-sample API calls them with a batch of one.  Each trial owns
+a `make_rng` stream, as in the other randomized suites.
+"""
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+from suniv.forward_model import (
+    Grid,
+    PriorParams,
+    add_white_noise,
+    apply,
+    make_rng,
+    make_training_set,
+    quadrature_norm,
+    sample_prior,
+    sobolev_operator,
+)
+from suniv.sunet import (
+    _backward_batch,
+    _forward_batch,
+    backward,
+    calibrate_thresholds,
+    forward,
+    random_feasible_net,
+)
+from suniv.tensor_ops import DTensor, _down, _tap_sums, _up, down_conv, up_conv
+from suniv.training import empirical_risk, test_risk
+
+BOUNDARIES = ["periodic", "zero"]
+TOL = 1e-12
+B = 5
+
+
+def random_filter(rng, dim):
+    shape = tuple(int(rng.integers(1, 5)) for _ in range(dim))
+    lo = tuple(int(rng.integers(-3, 3)) for _ in range(dim))
+    return DTensor(rng.standard_normal(shape), lo)
+
+
+def random_signal(rng, dim, periodic, batch=B):
+    """Batched values and logical origin; periodic periods are even."""
+    if periodic:
+        shape = tuple(int(2 * rng.integers(1, 6)) for _ in range(dim))
+        lo = (0,) * dim
+    else:
+        shape = tuple(int(rng.integers(1, 9)) for _ in range(dim))
+        lo = tuple(int(rng.integers(-4, 4)) for _ in range(dim))
+    return rng.standard_normal((batch,) + shape), lo
+
+
+def entries(values, lo):
+    """{logical index: value} for every entry of an unbatched window."""
+    return {tuple(p + l for p, l in zip(pos, lo)): values[pos]
+            for pos in np.ndindex(*values.shape)}
+
+
+def tap_sum_reference(gamma, small, small_lo, big, big_lo, periodic):
+    """sum_b sum_k small_b[k] big_b[2k - l] per tap l, by enumeration."""
+    out = np.zeros(gamma.shape)
+    n = big.shape[1:]
+    for b in range(small.shape[0]):
+        big_at = entries(big[b], big_lo)
+        for k, v in entries(small[b], small_lo).items():
+            for pos in np.ndindex(*gamma.shape):
+                l = tuple(p + g for p, g in zip(pos, gamma.lo))
+                m = tuple(2 * ki - li for ki, li in zip(k, l))
+                if periodic:
+                    m = tuple(mi % ni for mi, ni in zip(m, n))
+                out[pos] += v * big_at.get(m, 0.0)
+    return out
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_up_is_adjoint_of_down(boundary, dim):
+    periodic = boundary == "periodic"
+    for trial in range(30):
+        rng = make_rng(301, (dim, periodic, trial))
+        gamma = random_filter(rng, dim)
+        x, x_lo = random_signal(rng, dim, periodic)
+        dx, d_lo = _down(gamma, x, x_lo, periodic)
+        y = rng.standard_normal(dx.shape)
+        ux, u_lo = _up(gamma, y, d_lo, periodic, (x_lo, x.shape[1:]))
+        assert u_lo == x_lo and ux.shape == x.shape
+        lhs = np.sum(dx * y, axis=tuple(range(1, dx.ndim)))
+        rhs = np.sum(x * ux, axis=tuple(range(1, x.ndim)))
+        assert_allclose(lhs, rhs, rtol=TOL, atol=TOL * np.max(np.abs(lhs)))
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_convolutions_are_linear_in_the_filter(boundary, dim):
+    periodic = boundary == "periodic"
+    for trial in range(20):
+        rng = make_rng(307, (dim, periodic, trial))
+        g1 = random_filter(rng, dim)
+        g2 = DTensor(rng.standard_normal(g1.shape), g1.lo)
+        a, b = rng.standard_normal(2)
+        mix = DTensor(a * g1.values + b * g2.values, g1.lo)
+        x, lo = random_signal(rng, dim, periodic)
+        for conv in (_down, _up):
+            got, got_lo = conv(mix, x, lo, periodic)
+            (y1, lo1), (y2, lo2) = conv(g1, x, lo, periodic), conv(g2, x, lo, periodic)
+            assert got_lo == lo1 == lo2
+            want = a * y1 + b * y2
+            assert_allclose(got, want, rtol=TOL, atol=TOL * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_batched_convolutions_match_per_sample(boundary, dim):
+    periodic = boundary == "periodic"
+    for trial in range(30):
+        rng = make_rng(302, (dim, periodic, trial))
+        gamma = random_filter(rng, dim)
+        x, lo = random_signal(rng, dim, periodic)
+        for batched, single in ((_down, down_conv), (_up, up_conv)):
+            out, out_lo = batched(gamma, x, lo, periodic)
+            for b in range(B):
+                want = single(gamma, DTensor(x[b], lo), periodic=periodic)
+                assert out_lo == want.lo
+                assert np.array_equal(out[b], want.values)
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_filter_gradients_match_explicit_sums(boundary, dim):
+    periodic = boundary == "periodic"
+    for trial in range(20):
+        rng = make_rng(303, (dim, periodic, trial))
+        gamma = random_filter(rng, dim)
+        x, x_lo = random_signal(rng, dim, periodic)
+        # down: d/d gamma_l of <G, down(gamma, x)> = sum_k G_k x_{2k-l}
+        y, y_lo = _down(gamma, x, x_lo, periodic)
+        G = rng.standard_normal(y.shape)
+        got = _tap_sums(gamma, G, y_lo, x, x_lo, periodic)
+        assert got.lo == gamma.lo
+        want = tap_sum_reference(gamma, G, y_lo, x, x_lo, periodic)
+        assert_allclose(got.values, want, rtol=TOL, atol=TOL * np.max(np.abs(want)))
+        # up: d/d gamma_l of <G, up(gamma, x)> = sum_m x_m G_{2m-l}
+        u, u_lo = _up(gamma, x, x_lo, periodic)
+        G = rng.standard_normal(u.shape)
+        got = _tap_sums(gamma, x, x_lo, G, u_lo, periodic)
+        want = tap_sum_reference(gamma, x, x_lo, G, u_lo, periodic)
+        assert_allclose(got.values, want, rtol=TOL, atol=TOL * np.max(np.abs(want)))
+
+
+def _flat_trace(trace):
+    """Trace entries in one fixed order as (values, lo), DTensors or pairs."""
+    items = list(trace.s) + list(trace.s_bar)
+    items += [t for lv in trace.d + trace.d_bar for t in lv]
+    return [(t.values, t.lo) if isinstance(t, DTensor) else t for t in items]
+
+
+def _flat_grads(g):
+    arrays = [f.values for f in g.alpha + g.a]
+    arrays += [f.values for lv in g.beta + g.b for f in lv]
+    return arrays + [g.taus, g.psi]
+
+
+def _close(got, want):
+    assert_allclose(got, want, rtol=TOL, atol=TOL * max(1.0, float(np.max(np.abs(want)))))
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("dim,n,J", [(1, 64, 3), (2, 16, 2)])
+@pytest.mark.parametrize("kind", ["grid", "coefficients"])
+def test_batched_forward_backward_match_per_sample(boundary, dim, n, J, kind):
+    for trial in range(4):
+        rng = make_rng(304, (dim, boundary == "periodic", kind == "grid", trial))
+        grid = Grid(dim, n)
+        net = random_feasible_net(rng, J, dim, grid, boundary)
+        shape = grid.shape if kind == "grid" else (2 ** J,) * dim
+        X = rng.standard_normal((B,) + shape)
+        calibrate_thresholds(net, X[0] if kind == "grid" else DTensor(X[0], 0), rng)
+        T = rng.standard_normal((B,) + grid.shape)
+
+        out, trace = _forward_batch(net, X, coefficients=kind == "coefficients")
+        weight = float(rng.uniform(0.5, 2.0))
+        grads = _backward_batch(net, trace, out - T, weight)
+        summed = None
+        for b in range(B):
+            x = X[b] if kind == "grid" else DTensor(X[b], 0)
+            out_b, trace_b = forward(net, x)
+            _close(out[b], out_b)
+            for (v, lo), (vb, lob) in zip(_flat_trace(trace), _flat_trace(trace_b)):
+                assert lo == lob
+                _close(v[b], vb)
+            g_b = [weight * a for a in _flat_grads(backward(net, trace_b, out_b - T[b]))]
+            summed = g_b if summed is None else [s + a for s, a in zip(summed, g_b)]
+        for got, want in zip(_flat_grads(grads), summed):
+            _close(got, want)
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_batched_risks_match_per_sample_sums(boundary):
+    grid = Grid(1, 64)
+    op = sobolev_operator(grid, 1)
+    prior = PriorParams(s=1.0, L=1.0, J_max=3, M=2)
+    for trial in range(3):
+        rng = make_rng(305, (boundary == "periodic", trial))
+        net = random_feasible_net(rng, 3, 1, grid, boundary)
+        data = make_training_set(op, prior, 0.2, 7, rng)
+        calibrate_thresholds(net, data.Y[0], rng)
+
+        want = sum(quadrature_norm(forward(net, y)[0] - f, grid) ** 2
+                   for y, f in zip(data.Y, data.F))
+        assert empirical_risk(net, data) == pytest.approx(want, rel=TOL)
+
+        mean, se = test_risk(net, op, prior, 0.2, 6, make_rng(305, (9, trial)))
+        replay = make_rng(305, (9, trial))
+        errs = []
+        for _ in range(6):
+            f = sample_prior(prior, grid, replay)
+            y = add_white_noise(apply(op, f), 0.2, grid, replay)
+            errs.append(quadrature_norm(forward(net, y)[0] - f, grid) ** 2)
+        assert mean == pytest.approx(np.mean(errs), rel=TOL)
+        assert se == pytest.approx(np.std(errs, ddof=1) / np.sqrt(6), rel=TOL)
+
+
+def test_forward_rejects_non_finite_input():
+    grid = Grid(1, 32)
+    net = random_feasible_net(make_rng(306), 2, 1, grid)
+    for bad in (np.nan, np.inf, -np.inf):
+        g = np.zeros(grid.shape)
+        g[7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            forward(net, g)
+        c = np.zeros(4)
+        c[1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            forward(net, DTensor(c, 0))

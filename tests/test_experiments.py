@@ -429,3 +429,44 @@ class TestCli:
                      "--timing", "--out", str(tmp_path)])
         assert code == 0
         assert read_json(tmp_path / "gen_data.json")["elapsed_seconds"] > 0
+
+
+class TestCliBadData:
+    """Corrupt training-set files make `train` exit with the usage code 2."""
+
+    def _gen(self, tmp_path, *extra):
+        code = main(["gen-data", "--n-samples", "4", "--grid-n", "32",
+                     "--out", str(tmp_path / "data"), *extra])
+        assert code == 0
+        return tmp_path / "data"
+
+    def _train(self, tmp_path, path, init="preset"):
+        return main(["train", "--data", str(path), "--init", init, "--epochs", "1",
+                     "--m", "2", "--out", str(tmp_path / "run")])
+
+    @pytest.mark.parametrize("field", ["Y", "F"])
+    @pytest.mark.parametrize("init", ["preset", "random"])
+    def test_non_finite_values(self, tmp_path, capsys, field, init):
+        path = self._gen(tmp_path) / "training_set.json"
+        doc = read_json(path)
+        doc[field][1][3] = float("nan")
+        path.write_text(json.dumps(doc))
+        assert self._train(tmp_path, path, init) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_truncated_sidecar(self, tmp_path, capsys):
+        data = self._gen(tmp_path, "--binary")
+        blob = data / "training_set.npz.bin"
+        blob.write_bytes(blob.read_bytes()[:-8])
+        assert self._train(tmp_path, data / "training_set.npz") == 2
+        assert "training_set.npz.bin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["Y", "F"])
+    def test_json_shape_mismatch(self, tmp_path, capsys, field):
+        path = self._gen(tmp_path) / "training_set.json"
+        doc = read_json(path)
+        doc[field] = doc[field][:3]
+        path.write_text(json.dumps(doc))
+        assert self._train(tmp_path, path) == 2
+        err = capsys.readouterr().err
+        assert "training_set.json" in err and field in err

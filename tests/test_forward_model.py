@@ -219,6 +219,17 @@ class TestPrior:
         want = 2.0 ** (2 * (1 - 2.0))
         assert np.var(np.asarray(vals)) == pytest.approx(want, rel=0.1)
 
+    def test_cached_pieces_are_read_only(self):
+        from suniv.forward_model import _prior_pieces
+
+        bank, phi = _prior_pieces(3, 5, 512, 1)
+        assert _prior_pieces(3, 5, 512, 1)[1] is phi
+        assert np.array_equal(phi, sample_father_wavelet(3, 5, 512))
+        for a in [phi, bank.h.values] + [g.values for g in bank.g]:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
     def test_second_moment_formula(self):
         prior = PriorParams(s=1.0, L=2.0, J_max=3)
         # 4 * (1 + sum_j 2^j * 2^-j) = 4 * (1 + 4)

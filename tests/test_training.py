@@ -209,12 +209,22 @@ class TestTrainErm:
         assert hist.risks[-1] <= hist.risks[0]
 
     def test_nan_raises_numerical_failure(self):
+        # the data are checked up front, so a non-finite gradient can only
+        # come from the net itself
         data = noisy_data(sigma=0.5, N=4)
-        data.Y[0][3] = np.nan
         init = preset_wavelet_thresholding(1, 3, np.zeros(3), GRID)
+        init.psi[3] = np.nan
         with pytest.raises(NumericalFailure) as err:
             train_erm(init, data, cfg=TrainConfig(max_epochs=5))
         assert err.value.epoch == 1
+
+    @pytest.mark.parametrize("field", ["Y", "F"])
+    def test_non_finite_data_rejected(self, field):
+        data = noisy_data(sigma=0.5, N=4)
+        getattr(data, field)[1][5] = np.inf
+        init = preset_wavelet_thresholding(1, 3, np.zeros(3), GRID)
+        with pytest.raises(ValueError, match="non-finite"):
+            train_erm(init, data, cfg=TrainConfig(max_epochs=5))
 
     def test_zero_epochs_returns_projected_init(self):
         data = noisy_data(sigma=0.5, N=4)
