@@ -1020,7 +1020,9 @@ def _build_parser():
     p = sub.add_parser("gen-data", parents=[common], help="synthesize a training set")
     _add_model_flags(p)
     p.add_argument("--n-samples", type=int, default=64)
-    p.add_argument("--binary", action="store_true", help="write .npz instead of JSON")
+    p.add_argument("--binary", action="store_true", help="keep Y and F in a raw little-endian float64 sidecar "
+                        "(training_set.npz.bin) next to the JSON header "
+                        "training_set.npz, instead of inline JSON")
     p.set_defaults(func=_cmd_gen_data)
     subparsers["gen-data"] = p
 

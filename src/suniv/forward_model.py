@@ -11,7 +11,9 @@ functions have variance sigma^2.
 Random functions are drawn from a Gaussian wavelet prior: coefficients
 alpha_{j,k,e} ~ N(0, L^2 2^{j(d-2s)}) for detail levels j = 0..J_max plus a
 single N(0, L^2) coarse coefficient, synthesized through the inverse DWT and
-evaluated on the grid with the sampled father wavelet.
+evaluated on the grid with the sampled father wavelet.  A batch of draws is
+synthesized in one pass but drawn sample by sample, so seeded outputs do not
+depend on the batch size.
 """
 
 import functools
@@ -22,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from suniv.tensor_ops import DTensor
 from suniv.wavelets import (
-    WaveletCoefficients,
+    _dwt_inverse_batch,
+    _reflected,
     daubechies_filters,
-    dwt_inverse,
     sample_father_wavelet,
 )
 
@@ -217,11 +218,15 @@ def operator_from_descriptor(desc, grid):
 
 
 def apply(op, f):
-    """Apply the operator to grid samples by Fourier multiplication."""
+    """Apply the operator to grid samples by Fourier multiplication.
+
+    Leading axes of ``f`` beyond the grid shape are batch axes.
+    """
     f = np.asarray(f, dtype=float)
-    if f.shape != op.grid.shape:
+    if f.shape[f.ndim - op.grid.dim:] != op.grid.shape:
         raise ValueError("sample shape does not match operator grid")
-    return np.fft.ifftn(np.fft.fftn(f) * op.symbol).real
+    axes = _spatial_axes(op.grid)
+    return np.fft.ifftn(np.fft.fftn(f, axes=axes) * op.symbol, axes=axes).real
 
 
 def vaguelette(op, M, J):
@@ -261,12 +266,15 @@ def vaguelette_biorthogonality_error(op, M, J):
 
 
 def add_white_noise(f, sigma, grid, rng):
-    """Observation samples f + sigma h^{-d/2} eps with iid standard eps."""
+    """Observation samples f + sigma h^{-d/2} eps with iid standard eps.
+
+    Leading axes of ``f`` beyond the grid shape are batch axes.
+    """
     f = np.asarray(f, dtype=float)
-    if f.shape != grid.shape:
+    if f.shape[f.ndim - grid.dim:] != grid.shape:
         raise ValueError("sample shape does not match grid")
     scale = sigma * grid.h ** (-grid.dim / 2.0)
-    return f + scale * rng.standard_normal(grid.shape)
+    return f + scale * rng.standard_normal(f.shape)
 
 
 @dataclass(frozen=True)
@@ -289,34 +297,40 @@ class PriorParams:
 
 
 def _draw_coefficients(prior, dim, rng):
-    nd = 2 ** dim - 1
-    coarse = DTensor(prior.L * rng.standard_normal((1,) * dim))
-    details = []
+    """One draw of prior coefficients in RNG order: coarse, then details level by level."""
+    draw = [prior.L * rng.standard_normal((1,) * dim)]
     for j in range(prior.J_max + 1):
         std = prior.L * 2.0 ** (j * (dim - 2.0 * prior.s) / 2.0)
-        shape = (2 ** j,) * dim
-        details.append([DTensor(std * rng.standard_normal(shape)) for _ in range(nd)])
-    return WaveletCoefficients(coarse, details, periodic=True)
+        draw += [std * rng.standard_normal((2 ** j,) * dim) for _ in range(2 ** dim - 1)]
+    return draw
+
+
+def _synthesize_prior(draws, prior, grid):
+    """Grid samples of `_draw_coefficients` draws, batch axis first, in one pass."""
+    top = prior.J_max + 1
+    if 2 ** top > grid.n:
+        raise ValueError("grid too coarse for the prior depth: need 2^(J_max+1) <= n")
+    filters, phi = _prior_pieces(prior.M, top, grid.n, grid.dim)
+    pairs = [(np.stack(arrays), (0,) * grid.dim) for arrays in zip(*draws)]
+    nd = 2 ** grid.dim - 1
+    details = [pairs[1 + j * nd:1 + (j + 1) * nd] for j in range(top)]
+    s_top, _ = _dwt_inverse_batch(pairs[0], details, filters, periodic=True)
+    return grid_synthesis(s_top, phi, top, grid)
 
 
 def sample_prior(prior, grid, rng):
     """One random function drawn from the prior, as grid samples."""
-    top = prior.J_max + 1
-    if 2 ** top > grid.n:
-        raise ValueError("grid too coarse for the prior depth: need 2^(J_max+1) <= n")
-    bank, phi = _prior_pieces(prior.M, top, grid.n, grid.dim)
-    s_top = dwt_inverse(_draw_coefficients(prior, grid.dim, rng), bank)
-    return grid_synthesis(s_top.values, phi, top, grid)
+    return _synthesize_prior([_draw_coefficients(prior, grid.dim, rng)], prior, grid)[0]
 
 
 @functools.lru_cache(maxsize=32)
 def _prior_pieces(M, J, n, dim):
-    """The prior's filter bank and sampled father wavelet, built once, read-only."""
-    bank = daubechies_filters(M, dim)
+    """The prior's reflected filters and sampled father wavelet, built once, read-only."""
+    hr, grs = _reflected(daubechies_filters(M, dim))
     phi = sample_father_wavelet(M, J, n, dim)
-    for a in [phi, bank.h.values] + [g.values for g in bank.g]:
+    for a in [phi, hr.values] + [g.values for g in grs]:
         a.flags.writeable = False
-    return bank, phi
+    return (hr, grs), phi
 
 
 def prior_second_moment(prior, dim):
@@ -379,19 +393,30 @@ class TrainingSet:
         return self.Y.shape[0]
 
 
+def _draw_pairs(op, prior, sigma, N, rng):
+    """N (Y, F) pairs as from N rounds of `sample_prior`, `add_white_noise(apply(op, f))`.
+
+    The draws keep that RNG order; the arithmetic after them runs once on the batch.
+    """
+    grid = op.grid
+    draws = []
+    noise = np.empty((N,) + grid.shape)
+    for i in range(N):
+        draws.append(_draw_coefficients(prior, grid.dim, rng))
+        noise[i] = rng.standard_normal(grid.shape)
+    F = _synthesize_prior(draws, prior, grid)
+    scale = sigma * grid.h ** (-grid.dim / 2.0)
+    return apply(op, F) + scale * noise, F
+
+
 def make_training_set(op, prior, sigma, N, rng):
     """Draw N iid (Y_i, f_i) pairs from the prior and noise model."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    grid = op.grid
-    F = np.empty((N,) + grid.shape)
-    Y = np.empty_like(F)
-    for i in range(N):
-        F[i] = sample_prior(prior, grid, rng)
-        Y[i] = add_white_noise(apply(op, F[i]), sigma, grid, rng)
-    return TrainingSet(Y, F, float(sigma), grid, op.descriptor(), prior.descriptor())
+    Y, F = _draw_pairs(op, prior, sigma, N, rng)
+    return TrainingSet(Y, F, float(sigma), op.grid, op.descriptor(), prior.descriptor())
 
 
 def save_training_set(ts, path, binary=False):

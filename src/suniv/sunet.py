@@ -33,7 +33,7 @@ from .forward_model import (
     sobolev_norm,
     vaguelette,
 )
-from .tensor_ops import DTensor, _down, _tap_sums, _up, dt_add, l2_norm, reflect
+from .tensor_ops import DTensor, _down, _sum_windows, _tap_sums, _up, dt_add, l2_norm, reflect
 from .wavelets import daubechies_filters, sample_father_wavelet, soft_threshold
 
 BOUNDARY_MODES = ("zero", "periodic")
@@ -239,18 +239,6 @@ def _fold(values, lo, n):
     out = np.zeros(values.shape[:-d] + (n,) * d)
     np.add.at(out, _wrap_index(lo, values.shape[-d:], n), values)
     return out
-
-
-def _sum_windows(parts):
-    """Sum of (values, lo) pairs on the union bounding box of their windows."""
-    d = len(parts[0][1])
-    lo = tuple(min(p[1][ax] for p in parts) for ax in range(d))
-    hi = tuple(max(p[1][ax] + p[0].shape[ax - d] for p in parts) for ax in range(d))
-    out = np.zeros(parts[0][0].shape[:-d] + tuple(h - l for l, h in zip(lo, hi)))
-    for v, vlo in parts:
-        out[(Ellipsis,) + tuple(slice(a - l, a - l + m)
-                                for a, l, m in zip(vlo, lo, v.shape[-d:]))] += v
-    return out, lo
 
 
 def _check_finite(x, what):

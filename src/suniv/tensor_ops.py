@@ -18,8 +18,10 @@ taken modulo the period, and the output has period n/2 (down) or 2n (up).
 
 Both are thin DTensor wrappers around the array primitives ``_down`` and
 ``_up``, which treat the last d axes as spatial and any leading axes as batch
-axes; ``_tap_sums`` gives the filter gradients of either convolution.  The
-network and training code call the primitives directly on whole batches.
+axes; ``_tap_sums`` gives the filter gradients of either convolution, and
+``_sum_windows`` adds (values, lo) pairs on the union of their windows as
+``dt_add`` does for DTensors.  The network, the inverse DWT and the training
+code call the primitives directly on whole batches.
 """
 
 import functools
@@ -244,6 +246,18 @@ def _up(gamma, values, lo, periodic, window=None):
         if v != 0.0:
             out[src] += v * values[dst]
     return out, window[0]
+
+
+def _sum_windows(parts):
+    """Sum of (values, lo) pairs on the union bounding box of their windows."""
+    d = len(parts[0][1])
+    lo = tuple(min(p[1][ax] for p in parts) for ax in range(d))
+    hi = tuple(max(p[1][ax] + p[0].shape[ax - d] for p in parts) for ax in range(d))
+    out = np.zeros(parts[0][0].shape[:-d] + tuple(h - l for l, h in zip(lo, hi)))
+    for v, vlo in parts:
+        out[(Ellipsis,) + tuple(slice(a - l, a - l + m)
+                                for a, l, m in zip(vlo, lo, v.shape[-d:]))] += v
+    return out, lo
 
 
 def _tap_sums(gamma, small, small_lo, big, big_lo, periodic):

@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forward_model import (
+    _draw_pairs,
     add_white_noise,
     apply,
     make_rng,
     operator_from_descriptor,
     quadrature_norm,
-    sample_prior,
 )
 from .sunet import (
     _backward_batch,
@@ -108,17 +108,24 @@ class TrainHistory:
 
 
 def _squared_errors(net, Y, F):
-    """Squared quadrature L2 error of the net output per (Y, F) pair."""
-    out, _ = _forward_batch(net, Y)
+    """Squared quadrature L2 error per (Y, F) pair, and the forward (output, trace)."""
+    out, trace = _forward_batch(net, Y)
     grid = net.grid
-    return grid.h ** grid.dim * np.sum((out - F) ** 2, axis=tuple(range(1, out.ndim)))
+    errs = grid.h ** grid.dim * np.sum((out - F) ** 2, axis=tuple(range(1, out.ndim)))
+    return errs, (out, trace)
+
+
+def _risk_and_fit(net, data):
+    """`empirical_risk` and the (output, trace) pair behind it."""
+    errs, fit = _squared_errors(net, data.Y, data.F)
+    return float(np.sum(errs)), fit
 
 
 def empirical_risk(net, data):
     """Sum over the training pairs of the squared quadrature L2 error."""
     if data.grid != net.grid:
         raise ValueError("training data grid does not match the net")
-    return float(np.sum(_squared_errors(net, data.Y, data.F)))
+    return _risk_and_fit(net, data)[0]
 
 
 def _lattice_spectrum(filt, shape):
@@ -211,14 +218,20 @@ def _step(net, g, eta):
     return out
 
 
-def _mean_gradient(net, data, indices, epoch, rng, jitter):
+def _mean_gradient(net, data, indices, epoch, rng, jitter, fit=None):
+    """Mean loss gradient over ``data[indices]``.
+
+    ``fit``, the (output, trace) pair of ``net`` on those samples, spares the
+    forward pass unless jitter moves the thresholds.
+    """
     grad_net = net
     if jitter > 0:
         grad_net = net.copy()
         grad_net.taus = np.maximum(
             0.0, grad_net.taus + rng.uniform(-jitter, jitter, net.J))
+        fit = None
     Y, F = data.Y[indices], data.F[indices]
-    out, trace = _forward_batch(grad_net, Y)
+    out, trace = _forward_batch(grad_net, Y) if fit is None else fit
     grads = _backward_batch(grad_net, trace, out - F, 1.0 / len(Y))
     if not _grad_finite(grads):
         raise NumericalFailure(epoch, "non-finite gradient")
@@ -249,7 +262,8 @@ def train_erm(init, data, params=None, cfg=None):
     rng = make_rng(cfg.seed, (0x7124,))
 
     history.reference_risk = empirical_risk(reference_preset(net, data), data)
-    risk = empirical_risk(net, data)
+    # in full-batch mode ``fit`` is always the forward pass of the current net
+    risk, fit = _risk_and_fit(net, data)
     best_risk, best_net = risk, net.copy()
     eta = cfg.step_size
     history.append(risk, best_risk, eta, 0.0)
@@ -261,12 +275,12 @@ def train_erm(init, data, params=None, cfg=None):
             break
         t0 = time.perf_counter()
         if batch >= N:
-            grads = _mean_gradient(net, data, slice(None), epoch, rng, cfg.jitter)
+            grads = _mean_gradient(net, data, slice(None), epoch, rng, cfg.jitter, fit)
             candidate = project_constraints(_step(net, grads, eta), params)
             history.projections += 1
-            cand_risk = empirical_risk(candidate, data)
+            cand_risk, cand_fit = _risk_and_fit(candidate, data)
             if cand_risk <= risk:
-                net, risk = candidate, cand_risk
+                net, risk, fit = candidate, cand_risk, cand_fit
             else:
                 eta *= cfg.halving_factor
         else:
@@ -301,12 +315,8 @@ def test_risk(net, op, prior, sigma, trials, rng):
     """
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
-    F = np.empty((trials,) + op.grid.shape)
-    Y = np.empty_like(F)
-    for t in range(trials):
-        F[t] = sample_prior(prior, op.grid, rng)
-        Y[t] = add_white_noise(apply(op, F[t]), sigma, op.grid, rng)
-    errs = _squared_errors(net, Y, F)
+    Y, F = _draw_pairs(op, prior, sigma, trials, rng)
+    errs, _ = _squared_errors(net, Y, F)
     return float(errs.mean()), float(errs.std(ddof=1) / np.sqrt(trials))
 
 
@@ -324,9 +334,12 @@ def risk_bound_check(net, op, f, sigma, trials, rng):
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
     grid = net.grid
-    clean = apply(op, f)
-    Y = np.stack([add_white_noise(clean, sigma, grid, rng) for _ in range(trials)])
-    errs = _squared_errors(net, Y, f)
+    f = np.asarray(f, dtype=float)
+    if f.shape != grid.shape:
+        raise ValueError("sample shape does not match grid")
+    clean = np.broadcast_to(apply(op, f), (trials,) + grid.shape)
+    Y = add_white_noise(clean, sigma, grid, rng)
+    errs, _ = _squared_errors(net, Y, f)
     mean = float(errs.mean())
     se = float(errs.std(ddof=1) / np.sqrt(trials))
     f_sq = quadrature_norm(f, grid) ** 2

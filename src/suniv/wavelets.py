@@ -4,7 +4,8 @@ Daubechies scaling filters of order M = 1..10 are hard-coded (classical
 extremal-phase order, l2-normalized so sum(h) = sqrt(2)) and validated
 against the filter identities at import.  On top of them the module builds
 separable d-dimensional filter banks, the discrete wavelet transform via
-the strided convolutions of :mod:`suniv.tensor_ops`, soft thresholding, a
+the strided convolutions of :mod:`suniv.tensor_ops` (the inverse also on a
+whole batch of coefficient sets at once), soft thresholding, a
 reference wavelet-thresholding estimator, and exact dyadic sampling of the
 scaled father wavelet on a uniform torus grid.
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from suniv.tensor_ops import DTensor, down_conv, up_conv, dt_add, reflect, tensor_product
+from suniv.tensor_ops import DTensor, _sum_windows, _up, down_conv, reflect, tensor_product
 
 __all__ = [
     "FilterBank",
@@ -207,8 +208,7 @@ def dwt_forward(s, bank, levels, periodic=True):
         raise ValueError("signal/bank dimension mismatch")
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    hr = reflect(bank.h)
-    grs = [reflect(g) for g in bank.g]
+    hr, grs = _reflected(bank)
     details = []
     cur = s
     for step in range(levels):
@@ -220,18 +220,34 @@ def dwt_forward(s, bank, levels, periodic=True):
     return WaveletCoefficients(cur, details, periodic)
 
 
+def _reflected(bank):
+    """The reflected scaling and detail filters used by both transforms."""
+    return reflect(bank.h), [reflect(g) for g in bank.g]
+
+
 def dwt_inverse(coeffs, bank):
     """Synthesis inverse of :func:`dwt_forward` (exact when periodic)."""
-    if coeffs.coarse.dim != bank.dim:
+    tensors = [coeffs.coarse] + [t for dets in coeffs.details for t in dets]
+    if any(t.dim != bank.dim for t in tensors):
         raise ValueError("coefficients/bank dimension mismatch")
-    hr = reflect(bank.h)
-    grs = [reflect(g) for g in bank.g]
-    s = coeffs.coarse
-    for dets in coeffs.details:
-        out = up_conv(hr, s, periodic=coeffs.periodic)
-        for gr, det in zip(grs, dets):
-            out = dt_add(out, up_conv(gr, det, periodic=coeffs.periodic))
-        s = out
+    values, lo = _dwt_inverse_batch(
+        (coeffs.coarse.values[None], coeffs.coarse.lo),
+        [[(t.values[None], t.lo) for t in dets] for dets in coeffs.details],
+        _reflected(bank), coeffs.periodic)
+    return DTensor(values[0], lo)
+
+
+def _dwt_inverse_batch(coarse, details, filters, periodic):
+    """`dwt_inverse` on (values, lo) pairs with a leading batch axis; returns one.
+
+    ``filters`` is the pair returned by `_reflected`.
+    """
+    hr, grs = filters
+    s = coarse
+    for dets in details:
+        parts = [_up(hr, *s, periodic)]
+        parts += [_up(gr, *det, periodic) for gr, det in zip(grs, dets)]
+        s = _sum_windows(parts)
     return s
 
 

@@ -2,19 +2,23 @@
 
 The private primitives `_down`/`_up`/`_tap_sums` and the batch functions
 `_forward_batch`/`_backward_batch` carry every forward and backward pass;
-the public per-sample API calls them with a batch of one.  Each trial owns
-a `make_rng` stream, as in the other randomized suites.
+the public per-sample API calls them with a batch of one.  The same holds
+for `_dwt_inverse_batch` behind `dwt_inverse`, and for the batched prior
+draws behind `make_training_set` and `test_risk`.  Each trial owns a
+`make_rng` stream, as in the other randomized suites.
 """
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from suniv import training
 from suniv.forward_model import (
     Grid,
     PriorParams,
     add_white_noise,
     apply,
+    identity_operator,
     make_rng,
     make_training_set,
     quadrature_norm,
@@ -30,7 +34,14 @@ from suniv.sunet import (
     random_feasible_net,
 )
 from suniv.tensor_ops import DTensor, _down, _tap_sums, _up, down_conv, up_conv
-from suniv.training import empirical_risk, test_risk
+from suniv.training import TrainConfig, empirical_risk, risk_bound_check, test_risk, train_erm
+from suniv.wavelets import (
+    _dwt_inverse_batch,
+    _reflected,
+    daubechies_filters,
+    dwt_forward,
+    dwt_inverse,
+)
 
 BOUNDARIES = ["periodic", "zero"]
 TOL = 1e-12
@@ -236,3 +247,107 @@ def test_forward_rejects_non_finite_input():
         c[1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             forward(net, DTensor(c, 0))
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_batched_inverse_dwt_matches_per_sample(boundary, dim):
+    periodic = boundary == "periodic"
+    for trial in range(6):
+        rng = make_rng(308, (dim, periodic, trial))
+        bank = daubechies_filters(int(rng.integers(1, 5)), dim)
+        levels = int(rng.integers(1, 4))
+        shape = (2 ** (levels + int(rng.integers(0, 2))),) * dim
+        coeffs = [dwt_forward(DTensor(rng.standard_normal(shape)), bank, levels, periodic)
+                  for _ in range(B)]
+        # same shape in, so every sample's windows sit at the same origins
+        coarse = (np.stack([c.coarse.values for c in coeffs]), coeffs[0].coarse.lo)
+        details = [[(np.stack([c.details[j][e].values for c in coeffs]),
+                     coeffs[0].details[j][e].lo) for e in range(bank.n_detail)]
+                   for j in range(levels)]
+        got, lo = _dwt_inverse_batch(coarse, details, _reflected(bank), periodic)
+        for b, c in enumerate(coeffs):
+            want = dwt_inverse(c, bank)
+            assert lo == want.lo
+            _close(got[b], want.values)
+
+
+def _replayed_pairs(op, prior, sigma, N, rng):
+    """make_training_set's draws, replayed one public call at a time."""
+    grid = op.grid
+    Y, F = [], []
+    for _ in range(N):
+        F.append(sample_prior(prior, grid, rng))
+        Y.append(add_white_noise(apply(op, F[-1]), sigma, grid, rng))
+    return np.array(Y), np.array(F)
+
+
+@pytest.mark.parametrize("dim,n,J_max,M", [(1, 64, 3, 3), (2, 16, 2, 2)])
+@pytest.mark.parametrize("kind", ["identity", "sobolev"])
+def test_training_set_matches_per_draw_replay(dim, n, J_max, M, kind):
+    grid = Grid(dim, n)
+    op = identity_operator(grid) if kind == "identity" else sobolev_operator(grid, 1)
+    prior = PriorParams(s=1.0, L=1.5, J_max=J_max, M=M)
+    for trial in range(3):
+        sigma = 0.1 * (trial + 1)
+        data = make_training_set(op, prior, sigma, B, make_rng(309, (dim, trial)))
+        Y, F = _replayed_pairs(op, prior, sigma, B, make_rng(309, (dim, trial)))
+        _close(data.F, F)
+        _close(data.Y, Y)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_batched_apply_matches_per_sample(dim):
+    # add_white_noise takes the same batch axes; risk_bound_check relies on it
+    grid = Grid(dim, 16)
+    op = sobolev_operator(grid, 1)
+    rng = make_rng(310, (dim,))
+    f = rng.standard_normal((B, 2) + grid.shape)
+    got = apply(op, f)
+    for idx in np.ndindex(B, 2):
+        _close(got[idx], apply(op, f[idx]))
+    # wrong size, wrong size on the last axis only, and too few axes
+    for bad in [(B,) + (8,) * dim, (B,) + (16,) * (dim - 1) + (17,), (16,) * (dim - 1)]:
+        with pytest.raises(ValueError, match="operator grid"):
+            apply(op, np.zeros(bad))
+        with pytest.raises(ValueError, match="match grid"):
+            add_white_noise(np.zeros(bad), 0.1, grid, rng)
+
+
+def test_risk_bound_check_matches_per_trial_replay():
+    grid = Grid(1, 64)
+    op = sobolev_operator(grid, 1)
+    prior = PriorParams(s=1.0, L=1.0, J_max=3, M=2)
+    for trial in range(3):
+        rng = make_rng(311, (trial,))
+        net = random_feasible_net(rng, 3, 1, grid)
+        f = sample_prior(prior, grid, rng)
+        calibrate_thresholds(net, add_white_noise(apply(op, f), 0.2, grid, rng), rng)
+        got = risk_bound_check(net, op, f, 0.2, 7, make_rng(311, (9, trial)))
+        replay = make_rng(311, (9, trial))
+        clean = apply(op, f)
+        errs = [quadrature_norm(forward(net, add_white_noise(clean, 0.2, grid, replay))[0] - f,
+                                grid) ** 2 for _ in range(7)]
+        assert got["lhs_mean"] == pytest.approx(np.mean(errs), rel=TOL)
+        assert got["lhs_se"] == pytest.approx(np.std(errs, ddof=1) / np.sqrt(7), rel=TOL)
+
+
+def test_full_batch_training_reuses_forward_traces(monkeypatch):
+    # one forward each for the reference and the initial risk, then one per
+    # epoch: the candidate's pass doubles as the next gradient's forward
+    grid = Grid(1, 32)
+    prior = PriorParams(s=1.0, L=1.0, J_max=3, M=2)
+    data = make_training_set(identity_operator(grid), prior, 0.2, 8, make_rng(312, (0,)))
+    net = random_feasible_net(make_rng(312, (1,)), 3, 1, grid)
+    calibrate_thresholds(net, data.Y[0], make_rng(312, (2,)))
+    calls = []
+    inner = training._forward_batch
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(training, "_forward_batch", counted)
+    _, history = train_erm(net, data, cfg=TrainConfig(step_size=0.5, max_epochs=6))
+    assert history.epochs > 0
+    assert len(calls) == 2 + history.epochs

@@ -222,10 +222,10 @@ class TestPrior:
     def test_cached_pieces_are_read_only(self):
         from suniv.forward_model import _prior_pieces
 
-        bank, phi = _prior_pieces(3, 5, 512, 1)
+        (hr, grs), phi = _prior_pieces(3, 5, 512, 1)
         assert _prior_pieces(3, 5, 512, 1)[1] is phi
         assert np.array_equal(phi, sample_father_wavelet(3, 5, 512))
-        for a in [phi, bank.h.values] + [g.values for g in bank.g]:
+        for a in [phi, hr.values] + [g.values for g in grs]:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
