@@ -10,9 +10,8 @@ are zeroed unless timing is explicitly requested.
 
 Rates carry unknown constants, so the sweeps check log-log slopes with wide
 tolerances and statistical monotonicity, never absolute risk values.
-Independent sweep points may run in parallel (``SUNIV_THREADS``); every point
-draws from its own counter-derived RNG stream, so the thread count never
-changes the numbers.
+Sweep points and stability trials run one after another; every one draws
+from its own counter-derived RNG stream, so no number depends on the order.
 """
 
 import argparse
@@ -21,7 +20,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -311,16 +309,7 @@ class SweepResult:
     notes: tuple = ()
 
     def to_dict(self):
-        return _jsonable({
-            "axis": self.axis, "values": self.values, "risks": self.risks,
-            "std_errors": self.std_errors, "slope": self.slope,
-            "slope_stderr": self.slope_stderr, "slope_ci": self.slope_ci,
-            "theoretical_exponent": self.theoretical_exponent,
-            "estimator": self.estimator, "monotone_2se": self.monotone_2se,
-            "preset_risk": self.preset_risk, "preset_stderr": self.preset_stderr,
-            "endpoint_within_2se": self.endpoint_within_2se,
-            "trained_vs_preset_ratio": self.trained_vs_preset_ratio,
-            "points": self.points, "notes": list(self.notes)})
+        return _jsonable(asdict(self))
 
     def to_csv(self, path):
         cols = [self.axis, "risk", "std_error", "J", "M", "r", "R", "S_filter",
@@ -338,26 +327,10 @@ class SweepResult:
             fh.write("\n".join(lines) + "\n")
 
 
-def _thread_count():
-    try:
-        return max(int(os.environ.get("SUNIV_THREADS", "1")), 1)
-    except ValueError:
-        return 1
-
-
-def _map_points(fn, count):
-    """Run fn(0..count-1); order and numbers are independent of thread count."""
-    workers = min(_thread_count(), count)
-    if workers <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, range(count)))
-
-
-def _operator_for(cfg, grid):
-    if cfg.operator == "identity":
+def _operator(kind, L, grid):
+    if kind == "identity":
         return identity_operator(grid)
-    return sobolev_operator(grid, cfg.op_L)
+    return sobolev_operator(grid, L)
 
 
 def _fit_slope(xs, ys):
@@ -404,7 +377,7 @@ def rate_sweep_sigma(cfg=None):
     if len(cfg.sigmas) < 4:
         raise ExperimentFailure(f"slope fit needs at least 4 noise levels, got {len(cfg.sigmas)}")
     grid = Grid(cfg.d, cfg.grid_n)
-    op = _operator_for(cfg, grid)
+    op = _operator(cfg.operator, cfg.op_L, grid)
     prior = PriorParams(s=cfg.s, L=cfg.prior_L, J_max=cfg.prior_depth, M=cfg.prior_M)
 
     def point(i):
@@ -423,7 +396,7 @@ def rate_sweep_sigma(cfg=None):
         rec.update(extra)
         return rec
 
-    points = _map_points(point, len(cfg.sigmas))
+    points = [point(i) for i in range(len(cfg.sigmas))]
     risks = [p["risk"] for p in points]
     ses = [p["std_error"] for p in points]
     finite = [i for i, r in enumerate(risks) if math.isfinite(r) and r > 0]
@@ -456,7 +429,7 @@ def rate_sweep_N(cfg=None):
         raise ExperimentFailure(f"sample-size sweep needs at least 2 sizes, got {len(cfg.Ns)}")
     Ns = tuple(sorted(cfg.Ns))
     grid = Grid(cfg.d, cfg.grid_n)
-    op = _operator_for(cfg, grid)
+    op = _operator(cfg.operator, cfg.op_L, grid)
     prior = PriorParams(s=cfg.s, L=cfg.prior_L, J_max=cfg.prior_depth, M=cfg.prior_M)
     sigma = cfg.sigma
 
@@ -480,7 +453,7 @@ def rate_sweep_N(cfg=None):
         rec.update(extra)
         return rec
 
-    points = _map_points(point, len(Ns))
+    points = [point(i) for i in range(len(Ns))]
     risks = [p["risk"] for p in points]
     ses = [p["std_error"] for p in points]
     if not all(math.isfinite(r) and r > 0 for r in risks):
@@ -633,7 +606,7 @@ def stability_suite(cfg=None):
               "distance": cfg.distance_trials, "risk_bound": cfg.risk_bound_instances}
     families = {}
     for family, trials in counts.items():
-        outcomes = _map_points(lambda i, fam=family: _stability_trial(fam, i, cfg.seed, geo), trials)
+        outcomes = [_stability_trial(family, i, cfg.seed, geo) for i in range(trials)]
         passes = sum(bool(ok) for _, _, ok in outcomes)
         worst = worst_margin = None
         for index, (lhs, rhs, ok) in enumerate(outcomes):
@@ -829,12 +802,6 @@ def _sweep_config_from(ns, base):
     return replace(base, **overrides)
 
 
-def _operator_from_flags(ns, grid):
-    if ns.operator == "identity":
-        return identity_operator(grid)
-    return sobolev_operator(grid, ns.op_l)
-
-
 def _prior_from_flags(ns):
     return PriorParams(s=ns.s, L=ns.prior_l, J_max=ns.prior_depth, M=ns.prior_m)
 
@@ -856,13 +823,13 @@ def _cmd_gen_data(ns):
     outdir = _ensure_out(ns)
     t0 = time.perf_counter()
     grid = Grid(ns.d, ns.grid_n)
-    op = _operator_from_flags(ns, grid)
+    op = _operator(ns.operator, ns.op_l, grid)
     prior = _prior_from_flags(ns)
     ts = make_training_set(op, prior, ns.sigma, ns.n_samples, make_rng(ns.seed, (0xD0,)))
     ts.seed = ns.seed
     name = "training_set.npz" if ns.binary else "training_set.json"
     path = os.path.join(outdir, name)
-    save_training_set(ts, path, binary=ns.binary)
+    save_training_set(ts, path)
     meta = {"command": "gen-data", "seed": ns.seed, "file": name,
             "n_samples": ns.n_samples, "sigma": ns.sigma,
             "grid": {"dim": grid.dim, "n": grid.n}, "operator": ts.op_desc,
@@ -879,7 +846,7 @@ def _cmd_train(ns):
         data = load_training_set(ns.data)
     else:
         grid = Grid(ns.d, ns.grid_n)
-        data = make_training_set(_operator_from_flags(ns, grid), _prior_from_flags(ns),
+        data = make_training_set(_operator(ns.operator, ns.op_l, grid), _prior_from_flags(ns),
                                  ns.sigma, ns.n_samples, make_rng(ns.seed, (0xD0,)))
     grid = data.grid
     op = operator_from_descriptor(data.op_desc, grid)
@@ -920,7 +887,7 @@ def _cmd_eval(ns):
     outdir = _ensure_out(ns)
     t0 = time.perf_counter()
     net = load_net(ns.model)
-    op = _operator_from_flags(ns, net.grid)
+    op = _operator(ns.operator, ns.op_l, net.grid)
     prior = _prior_from_flags(ns)
     mean, se = test_risk(net, op, prior, ns.sigma, ns.trials, make_rng(ns.seed, (0xD2,)))
     payload = {"command": "eval", "seed": ns.seed, "model": os.path.basename(ns.model),
@@ -1020,9 +987,9 @@ def _build_parser():
     p = sub.add_parser("gen-data", parents=[common], help="synthesize a training set")
     _add_model_flags(p)
     p.add_argument("--n-samples", type=int, default=64)
-    p.add_argument("--binary", action="store_true", help="keep Y and F in a raw little-endian float64 sidecar "
-                        "(training_set.npz.bin) next to the JSON header "
-                        "training_set.npz, instead of inline JSON")
+    p.add_argument("--binary", action="store_true",
+                   help="write a NumPy archive training_set.npz (arrays Y, F and a JSON "
+                        "header) instead of training_set.json")
     p.set_defaults(func=_cmd_gen_data)
     subparsers["gen-data"] = p
 

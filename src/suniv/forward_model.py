@@ -19,7 +19,7 @@ depend on the batch size.
 import functools
 import json
 import math
-import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -419,11 +419,12 @@ def make_training_set(op, prior, sigma, N, rng):
     return TrainingSet(Y, F, float(sigma), op.grid, op.descriptor(), prior.descriptor())
 
 
-def save_training_set(ts, path, binary=False):
-    """Write a training set as JSON, optionally with a flat f64 sidecar.
+def save_training_set(ts, path):
+    """Write a training set; the path picks the format.
 
-    The sidecar holds Y then F, C-order, little-endian float64; the JSON
-    document records shapes and the sidecar file name.
+    A path ending in ``.npz`` gets a NumPy archive holding ``Y``, ``F`` and
+    ``header``, a JSON string of the metadata.  Any other path gets one JSON
+    document with Y and F inline.
     """
     doc = {
         "format": "suniv-training-set-v1",
@@ -433,45 +434,43 @@ def save_training_set(ts, path, binary=False):
         "op": ts.op_desc,
         "prior": ts.prior_desc,
         "seed": ts.seed,
+        "sidecar": None,  # unread; keeps JSON files byte-identical to older releases
     }
-    if binary:
-        sidecar = os.path.basename(str(path)) + ".bin"
-        doc["sidecar"] = sidecar
-        blob = np.concatenate([ts.Y.ravel(), ts.F.ravel()]).astype("<f8")
-        with open(os.path.join(os.path.dirname(str(path)) or ".", sidecar), "wb") as fh:
-            fh.write(blob.tobytes())
-    else:
-        doc["sidecar"] = None
-        doc["Y"] = ts.Y.tolist()
-        doc["F"] = ts.F.tolist()
+    if str(path).endswith(".npz"):
+        np.savez(path, Y=ts.Y, F=ts.F, header=np.array(json.dumps(doc, sort_keys=True)))
+        return
+    doc["Y"] = ts.Y.tolist()
+    doc["F"] = ts.F.tolist()
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
 
 
+def _read_training_doc(path):
+    """The metadata dict of a training-set file, with Y and F as arrays."""
+    if not str(path).endswith(".npz"):
+        with open(path) as fh:
+            return json.load(fh)
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            doc = json.loads(str(archive["header"]))
+            doc["Y"], doc["F"] = archive["Y"], archive["F"]
+    except (zipfile.BadZipFile, EOFError, KeyError, ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: not a readable training-set archive ({exc})") from exc
+    return doc
+
+
 def load_training_set(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "suniv-training-set-v1":
-        raise ValueError("not a suniv training set file")
+    """Read a file written by `save_training_set`; Y and F must match the grid."""
+    doc = _read_training_doc(path)
+    if not isinstance(doc, dict) or doc.get("format") != "suniv-training-set-v1":
+        raise ValueError(f"{path}: not a suniv training set file")
     grid = Grid(doc["grid"]["dim"], doc["grid"]["n"])
     shape = (doc["n_samples"],) + grid.shape
-    if doc["sidecar"] is not None:
-        sidecar = os.path.join(os.path.dirname(str(path)) or ".", doc["sidecar"])
-        want = 2 * doc["n_samples"] * grid.size * 8
-        got = os.path.getsize(sidecar)
-        if got != want:
-            raise ValueError(f"{sidecar}: {got} bytes, expected {want} for "
-                             f"{doc['n_samples']} samples on a {grid.shape} grid")
-        blob = np.fromfile(sidecar, dtype="<f8")
-        half = blob.size // 2
-        Y = blob[:half].reshape(shape).astype(float)
-        F = blob[half:].reshape(shape).astype(float)
-    else:
-        Y = np.asarray(doc["Y"], dtype=float)
-        F = np.asarray(doc["F"], dtype=float)
-        for name, arr in (("Y", Y), ("F", F)):
-            if arr.shape != shape:
-                raise ValueError(f"{path}: {name} has shape {arr.shape}, expected {shape}")
+    Y = np.asarray(doc.get("Y"), dtype=float)
+    F = np.asarray(doc.get("F"), dtype=float)
+    for name, arr in (("Y", Y), ("F", F)):
+        if arr.shape != shape:
+            raise ValueError(f"{path}: {name} has shape {arr.shape}, expected {shape}")
     return TrainingSet(Y, F, float(doc["sigma"]), grid, doc["op"],
                        doc.get("prior"), doc.get("seed"))

@@ -25,6 +25,7 @@ from .forward_model import (
 from .sunet import (
     _backward_batch,
     _check_finite,
+    _fold,
     _forward_batch,
     preset_wavelet_thresholding,
     preset_wvd,
@@ -130,12 +131,7 @@ def empirical_risk(net, data):
 
 def _lattice_spectrum(filt, shape):
     """|DFT|^2 of a small filter wrapped onto a periodic lattice."""
-    z = np.zeros(shape)
-    for idx in np.ndindex(*filt.shape):
-        logical = tuple((filt.lo[ax] + idx[ax]) % shape[ax]
-                        for ax in range(len(shape)))
-        z[logical] += filt.values[idx]
-    return np.abs(np.fft.fftn(z)) ** 2
+    return np.abs(np.fft.fftn(_fold(filt.values, filt.lo, shape[0]))) ** 2
 
 
 def _fold_spectrum(S, factor):

@@ -160,13 +160,6 @@ class TestRateSweepSigma:
         b = rate_sweep_sigma(tiny_sigma_cfg())
         assert a.risks == b.risks and a.slope == b.slope
 
-    def test_thread_count_does_not_change_numbers(self, monkeypatch):
-        monkeypatch.setenv("SUNIV_THREADS", "1")
-        a = rate_sweep_sigma(tiny_sigma_cfg())
-        monkeypatch.setenv("SUNIV_THREADS", "3")
-        b = rate_sweep_sigma(tiny_sigma_cfg())
-        assert a.risks == b.risks and a.std_errors == b.std_errors
-
     def test_trained_estimator_records_history(self):
         cfg = tiny_sigma_cfg(estimator="trained", trials=4, N=8,
                              train_epochs=3, prior_depth=2, J_cap=3)
@@ -373,13 +366,15 @@ class TestCli:
         assert main(["eval"]) == 2
 
     def test_gen_data_byte_identical(self, tmp_path):
-        dirs = [tmp_path / "a", tmp_path / "b"]
-        for d in dirs:
-            code = main(["gen-data", "--seed", "7", "--n-samples", "4",
-                         "--grid-n", "32", "--out", str(d)])
-            assert code == 0
-        for name in ("training_set.json", "gen_data.json"):
-            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+        # JSON and .npz training sets
+        for extra, data in (([], "training_set.json"), (["--binary"], "training_set.npz")):
+            dirs = [tmp_path / data / "a", tmp_path / data / "b"]
+            for d in dirs:
+                code = main(["gen-data", "--seed", "7", "--n-samples", "4",
+                             "--grid-n", "32", "--out", str(d), *extra])
+                assert code == 0
+            for name in (data, "gen_data.json"):
+                assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
     def test_sweep_sigma_cli_byte_identical(self, tmp_path):
         dirs = [tmp_path / "a", tmp_path / "b"]
@@ -454,12 +449,28 @@ class TestCliBadData:
         assert self._train(tmp_path, path, init) == 2
         assert "non-finite" in capsys.readouterr().err
 
-    def test_truncated_sidecar(self, tmp_path, capsys):
-        data = self._gen(tmp_path, "--binary")
-        blob = data / "training_set.npz.bin"
-        blob.write_bytes(blob.read_bytes()[:-8])
-        assert self._train(tmp_path, data / "training_set.npz") == 2
-        assert "training_set.npz.bin" in capsys.readouterr().err
+    def test_truncated_archive(self, tmp_path, capsys):
+        path = self._gen(tmp_path, "--binary") / "training_set.npz"
+        path.write_bytes(path.read_bytes()[:-8])
+        assert self._train(tmp_path, path) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_json_named_npz(self, tmp_path, capsys):
+        """The old format: a JSON document under the archive's name."""
+        data = self._gen(tmp_path)
+        path = data / "training_set.npz"
+        path.write_bytes((data / "training_set.json").read_bytes())
+        assert self._train(tmp_path, path) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_archive_shape_mismatch(self, tmp_path, capsys):
+        path = self._gen(tmp_path, "--binary") / "training_set.npz"
+        with np.load(path, allow_pickle=False) as archive:
+            entries = dict(archive)
+        entries["Y"] = entries["Y"][:3]
+        np.savez(path, **entries)
+        assert self._train(tmp_path, path) == 2
+        assert str(path) in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ["Y", "F"])
     def test_json_shape_mismatch(self, tmp_path, capsys, field):

@@ -301,16 +301,20 @@ class TestTrainingSet:
         assert ts2.sigma == ts.sigma
         assert ts2.op_desc == ts.op_desc
 
-    def test_binary_sidecar_roundtrip(self, tmp_path):
-        grid = Grid(2, 16)
+    @pytest.mark.parametrize("dim, n", [(1, 32), (2, 16)])
+    def test_npz_roundtrip(self, tmp_path, dim, n):
+        grid = Grid(dim, n)
         ts = make_training_set(sobolev_operator(grid, 1), PriorParams(1.0, 1.0, 2),
-                               0.1, 2, make_rng(2))
-        p = tmp_path / "ts.json"
-        save_training_set(ts, p, binary=True)
-        assert (tmp_path / "ts.json.bin").exists()
+                               0.1, 3, make_rng(2))
+        p = tmp_path / "ts.npz"
+        save_training_set(ts, p)
+        with np.load(p, allow_pickle=False) as archive:
+            assert sorted(archive.files) == ["F", "Y", "header"]
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["ts.npz"]
         ts2 = load_training_set(p)
         assert np.array_equal(ts2.Y, ts.Y)
         assert np.array_equal(ts2.F, ts.F)
+        assert ts2.sigma == ts.sigma and ts2.op_desc == ts.op_desc
 
 
 class TestRng:
