@@ -626,13 +626,16 @@ def stability_suite(cfg=None):
 
 def replay_instance(record):
     """Re-run a serialized stability trial; lhs/rhs reproduce bit-for-bit."""
-    if record.get("format") != "suniv-stability-instance-v1":
+    if not isinstance(record, dict) or record.get("format") != "suniv-stability-instance-v1":
         raise ValueError("not a stability instance record")
-    lhs, rhs, ok = _stability_trial(record["family"], int(record["index"]),
-                                    int(record["seed"]), record["config"])
-    return {"family": record["family"], "index": int(record["index"]),
-            "lhs": lhs, "rhs": rhs, "pass": bool(ok),
-            "matches_record": bool(lhs == record["lhs"] and rhs == record["rhs"])}
+    try:  # the trial reads the record's config, so its KeyError/TypeError are the record's
+        family, index = record["family"], int(record["index"])
+        lhs, rhs, ok = _stability_trial(family, index, int(record["seed"]), record["config"])
+        matches = bool(lhs == record["lhs"] and rhs == record["rhs"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"stability instance record: missing or malformed field: {exc!r}") from exc
+    return {"family": family, "index": index, "lhs": lhs, "rhs": rhs, "pass": bool(ok),
+            "matches_record": matches}
 
 
 # ---------------------------------------------------------------------------
@@ -1095,7 +1098,7 @@ def main(argv=None):
     except (ExperimentFailure, NumericalFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

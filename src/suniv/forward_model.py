@@ -24,12 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from suniv.wavelets import (
-    _dwt_inverse_batch,
-    _reflected,
-    daubechies_filters,
-    sample_father_wavelet,
-)
+from suniv.wavelets import _reflected, _synthesis, daubechies_filters, sample_father_wavelet
 
 __all__ = [
     "Grid",
@@ -314,7 +309,7 @@ def _synthesize_prior(draws, prior, grid):
     pairs = [(np.stack(arrays), (0,) * grid.dim) for arrays in zip(*draws)]
     nd = 2 ** grid.dim - 1
     details = [pairs[1 + j * nd:1 + (j + 1) * nd] for j in range(top)]
-    s_top, _ = _dwt_inverse_batch(pairs[0], details, filters, periodic=True)
+    s_top, _ = _synthesis(pairs[0], details, [filters] * top, periodic=True)[-1]
     return grid_synthesis(s_top, phi, top, grid)
 
 
@@ -465,12 +460,15 @@ def load_training_set(path):
     doc = _read_training_doc(path)
     if not isinstance(doc, dict) or doc.get("format") != "suniv-training-set-v1":
         raise ValueError(f"{path}: not a suniv training set file")
-    grid = Grid(doc["grid"]["dim"], doc["grid"]["n"])
-    shape = (doc["n_samples"],) + grid.shape
+    try:
+        grid = Grid(doc["grid"]["dim"], doc["grid"]["n"])
+        shape = (doc["n_samples"],) + grid.shape
+        sigma, op_desc = float(doc["sigma"]), doc["op"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: missing or malformed training-set metadata: {exc!r}") from exc
     Y = np.asarray(doc.get("Y"), dtype=float)
     F = np.asarray(doc.get("F"), dtype=float)
     for name, arr in (("Y", Y), ("F", F)):
         if arr.shape != shape:
             raise ValueError(f"{path}: {name} has shape {arr.shape}, expected {shape}")
-    return TrainingSet(Y, F, float(doc["sigma"]), grid, doc["op"],
-                       doc.get("prior"), doc.get("seed"))
+    return TrainingSet(Y, F, sigma, grid, op_desc, doc.get("prior"), doc.get("seed"))

@@ -33,8 +33,15 @@ from .forward_model import (
     sobolev_norm,
     vaguelette,
 )
-from .tensor_ops import DTensor, _down, _sum_windows, _tap_sums, _up, dt_add, l2_norm, reflect
-from .wavelets import daubechies_filters, sample_father_wavelet, soft_threshold
+from .tensor_ops import DTensor, _tap_sums, dt_add, l2_norm
+from .wavelets import (
+    _analysis,
+    _reflected,
+    _synthesis,
+    daubechies_filters,
+    sample_father_wavelet,
+    soft_threshold,
+)
 
 BOUNDARY_MODES = ("zero", "periodic")
 
@@ -42,10 +49,6 @@ BOUNDARY_MODES = ("zero", "periodic")
 # when a norm exceeds its cap by more than this, and then aims slightly below
 # the cap, so that projecting twice is a bitwise no-op.
 _NORM_TOL = 1e-12
-
-
-class InternalConsistencyError(RuntimeError):
-    """A level of the network produced a tensor of impossible shape."""
 
 
 @dataclass
@@ -290,27 +293,9 @@ def _forward_batch(net, X, coefficients=False):
         g = X
         s_top = grid_analysis(g, net.psi, J, net.grid)
 
-    s = [None] * (J + 1)
-    d = [None] * J
-    s[J] = (s_top, (0,) * dim)
-    for j in range(J - 1, -1, -1):
-        try:
-            s[j] = _down(net.alpha[j], *s[j + 1], periodic)
-            d[j] = [_down(f, *s[j + 1], periodic) for f in net.beta[j]]
-        except ValueError as exc:
-            raise InternalConsistencyError(f"contracting level {j}: {exc}") from exc
-
+    s, d = _analysis((s_top, (0,) * dim), list(zip(net.alpha, net.beta)), periodic)
     d_bar = [[(soft_threshold(v, net.taus[j]), lo) for v, lo in d[j]] for j in range(J)]
-    s_bar = [None] * (J + 1)
-    s_bar[0] = (s[0][0].copy(), s[0][1])
-    for j in range(1, J + 1):
-        try:
-            parts = [_up(net.a[j - 1], *s_bar[j - 1], periodic)]
-            parts += [_up(f, *t, periodic) for f, t in zip(net.b[j - 1], d_bar[j - 1])]
-        except ValueError as exc:
-            raise InternalConsistencyError(f"expanding level {j}: {exc}") from exc
-        s_bar[j] = _sum_windows(parts)
-
+    s_bar = _synthesis((s[0][0].copy(), s[0][1]), d_bar, list(zip(net.a, net.b)), periodic)
     coeffs = _fold(*s_bar[J], 2 ** J)
     out = grid_synthesis(coeffs, net.phi, J, net.grid)
     input_kind = "coefficients" if coefficients else "grid"
@@ -352,43 +337,30 @@ def _backward_batch(net, trace, R, weight=1.0):
     top, G_lo = trace.s_bar[J]
     G = grad_fold[_wrap_index(G_lo, top.shape[1:], n)]
 
-    g_alpha = [None] * J
-    g_beta = [None] * J
-    g_a = [None] * J
-    g_b = [None] * J
-    g_taus = np.zeros(J)
-
-    # expanding path, top down: split G over the level below and its details
-    G_dbar = [None] * J
-    for j in range(J, 0, -1):
-        (x_s, s_lo), x_d = trace.s_bar[j - 1], trace.d_bar[j - 1]
-        g_a[j - 1] = _tap_sums(net.a[j - 1], x_s, s_lo, G, G_lo, periodic)
-        g_b[j - 1] = [_tap_sums(f, v, lo, G, G_lo, periodic)
-                      for f, (v, lo) in zip(net.b[j - 1], x_d)]
-        G_dbar[j - 1] = [_down(f, G, G_lo, periodic, (lo, v.shape[1:]))[0]
-                         for f, (v, lo) in zip(net.b[j - 1], x_d)]
-        G, G_lo = _down(net.a[j - 1], G, G_lo, periodic, (s_lo, x_s.shape[1:]))
+    # expanding path, top down: the adjoint of `_synthesis` is `_analysis`
+    # pinned to the forward windows; G_s[j] is the gradient of s_bar[j]
+    G_s, G_dbar = _analysis((G, G_lo), list(zip(net.a, net.b)), periodic,
+                            (trace.s_bar, trace.d_bar))
+    g_a = [_tap_sums(net.a[j], *trace.s_bar[j], *G_s[j + 1], periodic) for j in range(J)]
+    g_b = [[_tap_sums(f, *x, *G_s[j + 1], periodic) for f, x in zip(net.b[j], trace.d_bar[j])]
+           for j in range(J)]
 
     # activations: mask dead zones, accumulate threshold gradients
+    g_taus = np.zeros(J)
     G_d = [None] * J
     for j in range(J):
         G_d[j] = []
-        for (dv, _), gv in zip(trace.d[j], G_dbar[j]):
+        for (dv, _), (gv, lo) in zip(trace.d[j], G_dbar[j]):
             active = np.abs(dv) > net.taus[j]
             g_taus[j] -= float(np.sum(np.sign(dv) * active * gv))
-            G_d[j].append(active * gv)
+            G_d[j].append((active * gv, lo))
 
-    # contracting path, bottom up: G at level 0 is the pass-through gradient
-    for j in range(J):
-        x, x_lo = trace.s[j + 1]
-        window = (x_lo, x.shape[1:])
-        g_alpha[j] = _tap_sums(net.alpha[j], G, G_lo, x, x_lo, periodic)
-        g_beta[j] = [_tap_sums(f, Gd, lo, x, x_lo, periodic)
-                     for f, Gd, (_, lo) in zip(net.beta[j], G_d[j], trace.d[j])]
-        acc = _up(net.alpha[j], G, G_lo, periodic, window)[0]
-        for f, Gd, (_, lo) in zip(net.beta[j], G_d[j], trace.d[j]):
-            acc = acc + _up(f, Gd, lo, periodic, window)[0]
-        G, G_lo = acc, x_lo
+    # contracting path, bottom up: the adjoint of `_analysis` is `_synthesis`;
+    # G at level 0 is the pass-through gradient
+    G_s = _synthesis(G_s[0], G_d, list(zip(net.alpha, net.beta)), periodic, trace.s)
+    g_alpha = [_tap_sums(net.alpha[j], *G_s[j], *trace.s[j + 1], periodic) for j in range(J)]
+    g_beta = [[_tap_sums(f, *Gd, *trace.s[j + 1], periodic) for f, Gd in zip(net.beta[j], G_d[j])]
+              for j in range(J)]
 
     g_psi = np.zeros(grid.shape)
     if trace.input_kind == "grid":
@@ -397,7 +369,7 @@ def _backward_batch(net, trace, R, weight=1.0):
         stride = grid.n // n
         axes = tuple(range(-dim, 0))
         up = np.zeros(trace.g.shape)
-        up[(Ellipsis,) + tuple(slice(None, None, stride) for _ in axes)] = G
+        up[(Ellipsis,) + tuple(slice(None, None, stride) for _ in axes)] = G_s[J][0]
         spec = np.sum(np.fft.fftn(trace.g, axes=axes) * np.conj(np.fft.fftn(up, axes=axes)),
                       axis=0)
         g_psi = grid.h ** dim * np.fft.ifftn(spec).real
@@ -505,9 +477,7 @@ def preset_wvd(op, M, J, taus, boundary="periodic"):
     taus = np.asarray(taus, dtype=float).reshape(-1)
     if taus.shape != (J,):
         raise ValueError("taus must have one entry per level")
-    bank = daubechies_filters(M, grid.dim)
-    hr = reflect(bank.h)
-    grs = [reflect(g) for g in bank.g]
+    hr, grs = _reflected(daubechies_filters(M, grid.dim))
     psi = vaguelette(op, M, J)
     phi = sample_father_wavelet(M, J, grid.n, grid.dim)
 
@@ -776,7 +746,7 @@ def net_to_dict(net):
 
 
 def net_from_dict(d):
-    if d.get("format") != "suniv-sunet-v1":
+    if not isinstance(d, dict) or d.get("format") != "suniv-sunet-v1":
         raise ValueError("not a recognized network document")
     cp = d.get("class_params")
     return SUNet(
@@ -804,4 +774,8 @@ def save_net(net, path):
 
 def load_net(path):
     with open(path, encoding="utf-8") as fh:
-        return net_from_dict(json.load(fh))
+        doc = json.load(fh)
+    try:
+        return net_from_dict(doc)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: missing or malformed network field: {exc!r}") from exc

@@ -19,9 +19,10 @@ taken modulo the period, and the output has period n/2 (down) or 2n (up).
 Both are thin DTensor wrappers around the array primitives ``_down`` and
 ``_up``, which treat the last d axes as spatial and any leading axes as batch
 axes; ``_tap_sums`` gives the filter gradients of either convolution, and
-``_sum_windows`` adds (values, lo) pairs on the union of their windows as
-``dt_add`` does for DTensors.  The network, the inverse DWT and the training
-code call the primitives directly on whole batches.
+``_sum_windows`` adds (values, lo) pairs on the union of their windows, as
+``dt_add`` does for DTensors.  Their callers are the batched cascades
+``_analysis``/``_synthesis`` of :mod:`suniv.wavelets` and, for the filter
+gradients, the network's backward pass.
 """
 
 import functools
@@ -139,12 +140,7 @@ def dt_add(a, b):
     """Sum of two DTensors on the union bounding box of their ranges."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch in dt_add")
-    lo = tuple(min(x, y) for x, y in zip(a.lo, b.lo))
-    hi = tuple(max(x, y) for x, y in zip(a.hi, b.hi))
-    out = restrict(a, lo, hi)
-    sl = tuple(slice(l - m, l - m + n) for l, m, n in zip(b.lo, lo, b.shape))
-    out.values[sl] += b.values
-    return out
+    return DTensor(*_sum_windows([(a.values, a.lo), (b.values, b.lo)]))
 
 
 def tensor_product(u, v):
@@ -250,7 +246,10 @@ def _up(gamma, values, lo, periodic, window=None):
 
 def _sum_windows(parts):
     """Sum of (values, lo) pairs on the union bounding box of their windows."""
-    d = len(parts[0][1])
+    v0, lo0 = parts[0]
+    if all(lo == lo0 and v.shape == v0.shape for v, lo in parts):  # periodic or pinned levels
+        return sum((v for v, _ in parts[1:]), v0.copy()), lo0
+    d = len(lo0)
     lo = tuple(min(p[1][ax] for p in parts) for ax in range(d))
     hi = tuple(max(p[1][ax] + p[0].shape[ax - d] for p in parts) for ax in range(d))
     out = np.zeros(parts[0][0].shape[:-d] + tuple(h - l for l, h in zip(lo, hi)))

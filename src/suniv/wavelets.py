@@ -3,11 +3,15 @@
 Daubechies scaling filters of order M = 1..10 are hard-coded (classical
 extremal-phase order, l2-normalized so sum(h) = sqrt(2)) and validated
 against the filter identities at import.  On top of them the module builds
-separable d-dimensional filter banks, the discrete wavelet transform via
-the strided convolutions of :mod:`suniv.tensor_ops` (the inverse also on a
-whole batch of coefficient sets at once), soft thresholding, a
-reference wavelet-thresholding estimator, and exact dyadic sampling of the
-scaled father wavelet on a uniform torus grid.
+separable d-dimensional filter banks, the discrete wavelet transform, soft
+thresholding, a reference wavelet-thresholding estimator, and exact dyadic
+sampling of the scaled father wavelet on a uniform torus grid.
+
+The batched cascades ``_analysis`` (contracting) and ``_synthesis``
+(expanding) are the package's one multiscale level loop, with one filter
+pair per level: the DWT runs them with fixed filters, the prior through
+``_synthesis``, and the network (:mod:`suniv.sunet`) with learned filters,
+transposed in its backward pass.
 
 Index conventions follow the analysis recursion
 
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from suniv.tensor_ops import DTensor, _sum_windows, _up, down_conv, reflect, tensor_product
+from suniv.tensor_ops import DTensor, _down, _sum_windows, _up, reflect, tensor_product
 
 __all__ = [
     "FilterBank",
@@ -208,16 +212,12 @@ def dwt_forward(s, bank, levels, periodic=True):
         raise ValueError("signal/bank dimension mismatch")
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    hr, grs = _reflected(bank)
-    details = []
-    cur = s
-    for step in range(levels):
-        if periodic and any(m % 2 for m in cur.shape):
+    for step in range(levels if periodic else 0):
+        if any((m >> step) % 2 for m in s.shape):
             raise ValueError(f"odd tensor size at decomposition step {step}")
-        details.append([down_conv(gr, cur, periodic=periodic) for gr in grs])
-        cur = down_conv(hr, cur, periodic=periodic)
-    details.reverse()
-    return WaveletCoefficients(cur, details, periodic)
+    ss, ds = _analysis((s.values[None], s.lo), [_reflected(bank)] * levels, periodic)
+    details = [[DTensor(v[0], lo) for v, lo in dets] for dets in ds]
+    return WaveletCoefficients(DTensor(ss[0][0][0], ss[0][1]), details, periodic)
 
 
 def _reflected(bank):
@@ -230,25 +230,50 @@ def dwt_inverse(coeffs, bank):
     tensors = [coeffs.coarse] + [t for dets in coeffs.details for t in dets]
     if any(t.dim != bank.dim for t in tensors):
         raise ValueError("coefficients/bank dimension mismatch")
-    values, lo = _dwt_inverse_batch(
+    values, lo = _synthesis(
         (coeffs.coarse.values[None], coeffs.coarse.lo),
         [[(t.values[None], t.lo) for t in dets] for dets in coeffs.details],
-        _reflected(bank), coeffs.periodic)
+        [_reflected(bank)] * coeffs.levels, coeffs.periodic)[-1]
     return DTensor(values[0], lo)
 
 
-def _dwt_inverse_batch(coarse, details, filters, periodic):
-    """`dwt_inverse` on (values, lo) pairs with a leading batch axis; returns one.
+def _window(level):
+    """The (lo, shape) window of a (values, lo) pair."""
+    return level[1], level[0].shape[level[0].ndim - len(level[1]):]
 
-    ``filters`` is the pair returned by `_reflected`.
+
+def _analysis(s, filters, periodic, windows=None):
+    """Contracting cascade on a (values, lo) pair whose leading axis is a batch axis.
+
+    ``filters[j]`` = (scaling, [details]) maps level j + 1 to level j; ``s`` is
+    level J = len(filters).  Returns the (values, lo) pairs (s[0..J], d[0..J-1]).
+    ``windows``, shaped like that, pins each zero-mode output to its entry's
+    window, which makes this the adjoint of a `_synthesis` pass.
     """
-    hr, grs = filters
-    s = coarse
-    for dets in details:
-        parts = [_up(hr, *s, periodic)]
-        parts += [_up(gr, *det, periodic) for gr, det in zip(grs, dets)]
-        s = _sum_windows(parts)
-    return s
+    J = len(filters)
+    ss, ds = [None] * J + [s], [None] * J
+    for j in range(J - 1, -1, -1):
+        h, gs = filters[j]
+        w_s, w_d = (None, [None] * len(gs)) if windows is None else (
+            _window(windows[0][j]), [_window(t) for t in windows[1][j]])
+        ss[j] = _down(h, *ss[j + 1], periodic, w_s)
+        ds[j] = [_down(g, *ss[j + 1], periodic, w) for g, w in zip(gs, w_d)]
+    return ss, ds
+
+
+def _synthesis(s, details, filters, periodic, windows=None):
+    """Expanding cascade, the adjoint of `_analysis`; returns levels 0..J (0 is ``s``).
+
+    ``filters[j]`` maps level j and ``details[j]`` to level j + 1; ``windows``
+    (J + 1 pairs) pins the zero-mode output levels as in `_analysis`.
+    """
+    levels = [s]
+    for j, ((h, gs), dets) in enumerate(zip(filters, details)):
+        w = None if windows is None else _window(windows[j + 1])
+        parts = [_up(h, *levels[j], periodic, w)]
+        parts += [_up(g, *d, periodic, w) for g, d in zip(gs, dets)]
+        levels.append(_sum_windows(parts))
+    return levels
 
 
 def soft_threshold(x, tau):

@@ -3,9 +3,10 @@
 The private primitives `_down`/`_up`/`_tap_sums` and the batch functions
 `_forward_batch`/`_backward_batch` carry every forward and backward pass;
 the public per-sample API calls them with a batch of one.  The same holds
-for `_dwt_inverse_batch` behind `dwt_inverse`, and for the batched prior
-draws behind `make_training_set` and `test_risk`.  Each trial owns a
-`make_rng` stream, as in the other randomized suites.
+for the cascades `_analysis`/`_synthesis` behind `dwt_forward`/`dwt_inverse`
+(and behind the network's passes), and for the batched prior draws behind
+`make_training_set` and `test_risk`.  Each trial owns a `make_rng` stream,
+as in the other randomized suites.
 """
 
 import numpy as np
@@ -36,8 +37,9 @@ from suniv.sunet import (
 from suniv.tensor_ops import DTensor, _down, _tap_sums, _up, down_conv, up_conv
 from suniv.training import TrainConfig, empirical_risk, risk_bound_check, test_risk, train_erm
 from suniv.wavelets import (
-    _dwt_inverse_batch,
+    _analysis,
     _reflected,
+    _synthesis,
     daubechies_filters,
     dwt_forward,
     dwt_inverse,
@@ -265,11 +267,78 @@ def test_batched_inverse_dwt_matches_per_sample(boundary, dim):
         details = [[(np.stack([c.details[j][e].values for c in coeffs]),
                      coeffs[0].details[j][e].lo) for e in range(bank.n_detail)]
                    for j in range(levels)]
-        got, lo = _dwt_inverse_batch(coarse, details, _reflected(bank), periodic)
+        got, lo = _synthesis(coarse, details, [_reflected(bank)] * levels, periodic)[-1]
         for b, c in enumerate(coeffs):
             want = dwt_inverse(c, bank)
             assert lo == want.lo
             _close(got[b], want.values)
+
+
+def _inner(levels_a, levels_b):
+    """Per-sample sum of <a, b> over matching (values, lo) pairs."""
+    return sum(np.sum(a * b, axis=tuple(range(1, a.ndim)))
+               for (a, _), (b, _) in zip(levels_a, levels_b))
+
+
+def random_cascade(rng, dim, periodic):
+    """Distinct filters (2..4 taps per axis) for 1..3 levels, and an input level."""
+    J = int(rng.integers(1, 4))
+
+    def rf():
+        shape = tuple(int(rng.integers(2, 5)) for _ in range(dim))
+        return DTensor(rng.standard_normal(shape), tuple(int(rng.integers(-3, 2)) for _ in range(dim)))
+
+    filters = [(rf(), [rf() for _ in range(2 ** dim - 1)]) for _ in range(J)]
+    if periodic:
+        shape, lo = tuple(int(2 ** J * rng.integers(1, 4)) for _ in range(dim)), (0,) * dim
+    else:
+        shape = tuple(int(rng.integers(2, 12)) for _ in range(dim))
+        lo = tuple(int(rng.integers(-4, 4)) for _ in range(dim))
+    return filters, (rng.standard_normal((B,) + shape), lo)
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_synthesis_is_adjoint_of_analysis(boundary, dim):
+    periodic = boundary == "periodic"
+    for trial in range(12):
+        rng = make_rng(313, (dim, periodic, trial))
+        filters, x = random_cascade(rng, dim, periodic)
+        # <analysis(x), y> = <x, synthesis(y)>, synthesis pinned to the analysis windows
+        ss, ds = _analysis(x, filters, periodic)
+        y0 = (rng.standard_normal(ss[0][0].shape), ss[0][1])
+        yd = [[(rng.standard_normal(v.shape), lo) for v, lo in dets] for dets in ds]
+        back = _synthesis(y0, yd, filters, periodic, ss)
+        assert back[-1][1] == x[1] and back[-1][0].shape == x[0].shape
+        lhs = _inner([ss[0]] + sum(ds, []), [y0] + sum(yd, []))
+        rhs = _inner([x], back[-1:])
+        assert_allclose(lhs, rhs, rtol=TOL, atol=TOL * np.max(np.abs(lhs)))
+        # and the other way round, as the backward pass runs the expanding path
+        levels = _synthesis(y0, yd, filters, periodic)
+        z = (rng.standard_normal(levels[-1][0].shape), levels[-1][1])
+        zs, zd = _analysis(z, filters, periodic, (levels, yd))
+        lhs = _inner(levels[-1:], [z])
+        rhs = _inner([y0] + sum(yd, []), [zs[0]] + sum(zd, []))
+        assert_allclose(lhs, rhs, rtol=TOL, atol=TOL * np.max(np.abs(lhs)))
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_batched_analysis_matches_dwt_forward(boundary, dim):
+    periodic = boundary == "periodic"
+    for trial in range(6):
+        rng = make_rng(314, (dim, periodic, trial))
+        bank = daubechies_filters(int(rng.integers(1, 5)), dim)
+        levels = int(rng.integers(1, 4))
+        lo = (0,) * dim if periodic else tuple(int(rng.integers(-3, 3)) for _ in range(dim))
+        x = rng.standard_normal((B,) + (2 ** (levels + int(rng.integers(0, 2))),) * dim)
+        ss, ds = _analysis((x, lo), [_reflected(bank)] * levels, periodic)
+        for b in range(B):
+            want = dwt_forward(DTensor(x[b], lo), bank, levels, periodic)
+            got = [(ss[0][0][b], ss[0][1])] + [(v[b], vlo) for dets in ds for v, vlo in dets]
+            expected = [want.coarse] + [t for dets in want.details for t in dets]
+            for (v, vlo), t in zip(got, expected, strict=True):
+                assert vlo == t.lo and np.array_equal(v, t.values)
 
 
 def _replayed_pairs(op, prior, sigma, N, rng):

@@ -427,7 +427,7 @@ class TestCli:
 
 
 class TestCliBadData:
-    """Corrupt training-set files make `train` exit with the usage code 2."""
+    """Missing or corrupt input files exit with the usage code 2, no traceback."""
 
     def _gen(self, tmp_path, *extra):
         code = main(["gen-data", "--n-samples", "4", "--grid-n", "32",
@@ -481,3 +481,32 @@ class TestCliBadData:
         assert self._train(tmp_path, path) == 2
         err = capsys.readouterr().err
         assert "training_set.json" in err and field in err
+
+    @pytest.mark.parametrize("command,flag", [("train", "--data"), ("eval", "--model"),
+                                              ("stability", "--replay")])
+    def test_missing_input_file(self, tmp_path, capsys, command, flag):
+        path = tmp_path / "nope.json"
+        assert main([command, flag, str(path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+
+    def test_training_set_missing_key(self, tmp_path, capsys):
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps({"format": "suniv-training-set-v1"}))
+        assert self._train(tmp_path, path) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "'grid'" in err
+
+    def test_net_missing_key(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"format": "suniv-sunet-v1"}))
+        assert main(["eval", "--model", str(path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "'J'" in err
+
+    def test_replay_record_missing_key(self, tmp_path, capsys):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"format": "suniv-stability-instance-v1"}))
+        assert main(["stability", "--replay", str(path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "stability instance record" in err and "'family'" in err

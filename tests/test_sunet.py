@@ -6,6 +6,8 @@ import pytest
 from suniv.forward_model import (
     Grid,
     apply,
+    grid_analysis,
+    grid_synthesis,
     identity_operator,
     make_rng,
     quadrature_norm,
@@ -34,12 +36,13 @@ from suniv.sunet import (
     verify_perturbation_bounds,
     verify_size_bounds,
 )
-from suniv.tensor_ops import DTensor, l2_norm
+from suniv.tensor_ops import DTensor, down_conv, dt_add, l2_norm, up_conv
 from suniv.wavelets import (
     daubechies_filters,
     dwt_forward,
     dwt_inverse,
     sample_father_wavelet,
+    soft_threshold,
     wavelet_threshold_oracle,
 )
 
@@ -51,6 +54,36 @@ def calibrated_random_net(seed, J, dim, n, boundary, x=None):
         x = DTensor(rng.standard_normal((2 ** J,) * dim), 0)
     calibrate_thresholds(net, x, rng)
     return net, x, rng
+
+
+def reference_forward(net, x):
+    """The forward pass level by level from the public primitives.
+
+    Returns (output, s, d, s_bar, d_bar) with the trace indexing of
+    `ForwardTrace`; every level uses its own filters, so a wrong level
+    wiring shows up here where the same-filter presets cannot see it.
+    """
+    J, periodic = net.J, net.boundary == "periodic"
+    if not isinstance(x, DTensor):
+        x = DTensor(grid_analysis(x, net.psi, J, net.grid), 0)
+    s, d = [None] * J + [x], [None] * J
+    for j in range(J - 1, -1, -1):
+        s[j] = down_conv(net.alpha[j], s[j + 1], periodic)
+        d[j] = [down_conv(f, s[j + 1], periodic) for f in net.beta[j]]
+    d_bar = [[DTensor(soft_threshold(t.values, net.taus[j]), t.lo) for t in d[j]]
+             for j in range(J)]
+    s_bar = [s[0]]
+    for j in range(J):
+        acc = up_conv(net.a[j], s_bar[j], periodic)
+        for f, t in zip(net.b[j], d_bar[j]):
+            acc = dt_add(acc, up_conv(f, t, periodic))
+        s_bar.append(acc)
+    # fold the top window onto the 2^J coefficient torus, entry by entry
+    n = 2 ** J
+    coeffs = np.zeros((n,) * net.dim)
+    for pos in np.ndindex(*s_bar[J].shape):
+        coeffs[tuple((p + lo) % n for p, lo in zip(pos, s_bar[J].lo))] += s_bar[J].values[pos]
+    return grid_synthesis(coeffs, net.phi, J, net.grid), s, d, s_bar, d_bar
 
 
 class TestFirstLayer:
@@ -155,6 +188,30 @@ class TestForward:
         out2, _ = forward(net, x2)
         out12, _ = forward(net, x12)
         assert np.max(np.abs(out12 - out1 - out2)) <= 1e-10
+
+    @pytest.mark.parametrize("boundary", ["periodic", "zero"])
+    @pytest.mark.parametrize("dim,n,J", [(1, 64, 3), (2, 16, 2)])
+    @pytest.mark.parametrize("kind", ["grid", "coefficients"])
+    def test_matches_per_level_reference(self, boundary, dim, n, J, kind):
+        for trial in range(3):
+            rng = make_rng(31, (dim, boundary == "periodic", kind == "grid", trial))
+            net = random_feasible_net(rng, J, dim, Grid(dim, n), boundary)
+            if kind == "grid":
+                x = rng.standard_normal(net.grid.shape)
+            else:
+                x = DTensor(rng.standard_normal((2 ** J,) * dim), 0)
+            calibrate_thresholds(net, x, rng)
+            out, trace = forward(net, x)
+            want_out, s, d, s_bar, d_bar = reference_forward(net, x)
+            np.testing.assert_allclose(out, want_out, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(want_out)))
+            pairs = list(zip(trace.s + trace.s_bar, s + s_bar, strict=True))
+            for got, want in zip(trace.d + trace.d_bar, d + d_bar, strict=True):
+                pairs += zip(got, want, strict=True)
+            for got, want in pairs:
+                assert got.lo == want.lo
+                np.testing.assert_allclose(got.values, want.values, rtol=1e-12,
+                                           atol=1e-12 * max(1.0, np.max(np.abs(want.values))))
 
     def test_input_validation(self):
         net, _, rng = calibrated_random_net(5, 3, 1, 64, "periodic")
