@@ -27,6 +27,7 @@ import numpy as np
 from suniv.forward_model import (
     Grid,
     PriorParams,
+    _read_json,
     add_white_noise,
     apply,
     grid_synthesis,
@@ -940,9 +941,7 @@ def _stability_table(report):
 def _cmd_stability(ns):
     outdir = _ensure_out(ns)
     if ns.replay:
-        with open(ns.replay) as fh:
-            record = json.load(fh)
-        result = replay_instance(record)
+        result = replay_instance(_read_json(ns.replay))
         print(_dumps(result))
         _write_json(os.path.join(outdir, "replay.json"), result)
         return 0 if result["pass"] else 1
@@ -1068,8 +1067,7 @@ def _config_defaults(argv):
             path = tok.split("=", 1)[1]
     if path is None:
         return {}
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = _read_json(path)
     if not isinstance(obj, dict):
         raise ValueError("config file must hold a JSON object")
     return {str(k).replace("-", "_"): v for k, v in obj.items()

@@ -11,9 +11,10 @@ functions have variance sigma^2.
 Random functions are drawn from a Gaussian wavelet prior: coefficients
 alpha_{j,k,e} ~ N(0, L^2 2^{j(d-2s)}) for detail levels j = 0..J_max plus a
 single N(0, L^2) coarse coefficient, synthesized through the inverse DWT and
-evaluated on the grid with the sampled father wavelet.  A batch of draws is
-synthesized in one pass but drawn sample by sample, so seeded outputs do not
-depend on the batch size.
+evaluated on the grid with the sampled father wavelet.  A batch of draws
+takes its normals from one RNG call and is synthesized in one pass; each
+draw reads its normals in the order a single draw does, so seeded outputs do
+not depend on the batch size.
 """
 
 import functools
@@ -291,31 +292,34 @@ class PriorParams:
         return {"s": self.s, "L": self.L, "J_max": self.J_max, "M": self.M}
 
 
-def _draw_coefficients(prior, dim, rng):
-    """One draw of prior coefficients in RNG order: coarse, then details level by level."""
-    draw = [prior.L * rng.standard_normal((1,) * dim)]
-    for j in range(prior.J_max + 1):
-        std = prior.L * 2.0 ** (j * (dim - 2.0 * prior.s) / 2.0)
-        draw += [std * rng.standard_normal((2 ** j,) * dim) for _ in range(2 ** dim - 1)]
-    return draw
+def _draw_prior(prior, grid, N, rng, noise=False):
+    """(F, W): N prior draws as grid samples, batch axis first, and, if
+    ``noise``, N fields of unit white noise per grid point (else None).
 
-
-def _synthesize_prior(draws, prior, grid):
-    """Grid samples of `_draw_coefficients` draws, batch axis first, in one pass."""
-    top = prior.J_max + 1
+    The normals come from one RNG call.  Each draw reads its coarse
+    coefficient, its details level by level, then its noise.
+    """
+    top, dim = prior.J_max + 1, grid.dim
     if 2 ** top > grid.n:
         raise ValueError("grid too coarse for the prior depth: need 2^(J_max+1) <= n")
-    filters, phi = _prior_pieces(prior.M, top, grid.n, grid.dim)
-    pairs = [(np.stack(arrays), (0,) * grid.dim) for arrays in zip(*draws)]
-    nd = 2 ** grid.dim - 1
+    blocks = [((1,) * dim, prior.L)]
+    for j in range(top):
+        std = prior.L * 2.0 ** (j * (dim - 2.0 * prior.s) / 2.0)
+        blocks += [((2 ** j,) * dim, std)] * (2 ** dim - 1)
+    sizes = [math.prod(shape) for shape, _ in blocks] + [grid.size if noise else 0]
+    *z, W = np.split(rng.standard_normal((N, sum(sizes))), np.cumsum(sizes)[:-1], axis=1)
+    pairs = [(std * part.reshape((N,) + shape), (0,) * dim)
+             for (shape, std), part in zip(blocks, z)]
+    filters, phi = _prior_pieces(prior.M, top, grid.n, dim)
+    nd = 2 ** dim - 1
     details = [pairs[1 + j * nd:1 + (j + 1) * nd] for j in range(top)]
     s_top, _ = _synthesis(pairs[0], details, [filters] * top, periodic=True)[-1]
-    return grid_synthesis(s_top, phi, top, grid)
+    return grid_synthesis(s_top, phi, top, grid), W.reshape((N,) + grid.shape) if noise else None
 
 
 def sample_prior(prior, grid, rng):
     """One random function drawn from the prior, as grid samples."""
-    return _synthesize_prior([_draw_coefficients(prior, grid.dim, rng)], prior, grid)[0]
+    return _draw_prior(prior, grid, 1, rng)[0][0]
 
 
 @functools.lru_cache(maxsize=32)
@@ -394,12 +398,7 @@ def _draw_pairs(op, prior, sigma, N, rng):
     The draws keep that RNG order; the arithmetic after them runs once on the batch.
     """
     grid = op.grid
-    draws = []
-    noise = np.empty((N,) + grid.shape)
-    for i in range(N):
-        draws.append(_draw_coefficients(prior, grid.dim, rng))
-        noise[i] = rng.standard_normal(grid.shape)
-    F = _synthesize_prior(draws, prior, grid)
+    F, noise = _draw_prior(prior, grid, N, rng, noise=True)
     scale = sigma * grid.h ** (-grid.dim / 2.0)
     return apply(op, F) + scale * noise, F
 
@@ -441,11 +440,19 @@ def save_training_set(ts, path):
         fh.write("\n")
 
 
+def _read_json(path):
+    """The JSON document in a file; a file that is not JSON raises a ValueError naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValueError(f"{path}: not a valid JSON file ({exc})") from exc
+
+
 def _read_training_doc(path):
     """The metadata dict of a training-set file, with Y and F as arrays."""
     if not str(path).endswith(".npz"):
-        with open(path) as fh:
-            return json.load(fh)
+        return _read_json(path)
     try:
         with np.load(path, allow_pickle=False) as archive:
             doc = json.loads(str(archive["header"]))

@@ -26,6 +26,7 @@ import numpy as np
 
 from .forward_model import (
     Grid,
+    _read_json,
     grid_analysis,
     grid_synthesis,
     identity_operator,
@@ -773,8 +774,7 @@ def save_net(net, path):
 
 
 def load_net(path):
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     try:
         return net_from_dict(doc)
     except (KeyError, TypeError) as exc:

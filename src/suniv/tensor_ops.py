@@ -18,14 +18,20 @@ taken modulo the period, and the output has period n/2 (down) or 2n (up).
 
 Both are thin DTensor wrappers around the array primitives ``_down`` and
 ``_up``, which treat the last d axes as spatial and any leading axes as batch
-axes; ``_tap_sums`` gives the filter gradients of either convolution, and
-``_sum_windows`` adds (values, lo) pairs on the union of their windows, as
-``dt_add`` does for DTensors.  Their callers are the batched cascades
-``_analysis``/``_synthesis`` of :mod:`suniv.wavelets` and, for the filter
-gradients, the network's backward pass.
+axes.  A cached table per geometry lists the input position of every
+output's term with each tap, so one gather, multiply and sum over the tap
+axis convolve a whole batch, bit for bit as a loop over taps would.
+Undefined terms read an appended zero, so one table builder serves both
+modes.  ``_tap_sums`` gives the filter gradients of either convolution
+through the same tables, and ``_sum_windows`` adds (values, lo) pairs on the
+union of their windows, as ``dt_add`` does for DTensors.  Their callers are
+the batched cascades ``_analysis``/``_synthesis`` of :mod:`suniv.wavelets`
+and, for the filter gradients, the network's backward pass.
 """
 
+import collections
 import functools
+import math
 
 import numpy as np
 
@@ -37,7 +43,6 @@ __all__ = [
     "l2_norm",
     "reflect",
     "dt_add",
-    "restrict",
 ]
 
 
@@ -117,25 +122,6 @@ def reflect(a):
     return DTensor(rev.copy(), lo)
 
 
-def restrict(a, lo, hi):
-    """Entries of ``a`` on the window [lo, hi], zero-padded where undefined."""
-    lo = (lo,) * a.dim if isinstance(lo, (int, np.integer)) else tuple(lo)
-    hi = (hi,) * a.dim if isinstance(hi, (int, np.integer)) else tuple(hi)
-    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-    out = np.zeros(shape)
-    src = []
-    dst = []
-    for ax in range(a.dim):
-        s0 = max(lo[ax], a.lo[ax])
-        s1 = min(hi[ax], a.hi[ax])
-        if s0 > s1:
-            return DTensor(out, lo)
-        src.append(slice(s0 - a.lo[ax], s1 - a.lo[ax] + 1))
-        dst.append(slice(s0 - lo[ax], s1 - lo[ax] + 1))
-    out[tuple(dst)] = a.values[tuple(src)]
-    return DTensor(out, lo)
-
-
 def dt_add(a, b):
     """Sum of two DTensors on the union bounding box of their ranges."""
     if a.dim != b.dim:
@@ -150,98 +136,103 @@ def tensor_product(u, v):
     return DTensor(np.outer(u.values, v.values), (u.lo[0], v.lo[0]))
 
 
-@functools.lru_cache(maxsize=4096)
-def _tap_windows(g_lo, g_shape, in_lo, in_shape, out_lo, out_shape, periodic):
-    """(tap, dst, src) index triples for y[k] += gamma[l] x[2k - l].
+def _build_table(g_lo, g_shape, in_lo, in_shape, window, periodic, up):
+    """(idx, window) of a down (or up) convolution onto ``window``.
 
-    ``dst`` indexes the output window (``out_lo``, ``out_shape``) and ``src``
-    the input window; both start with an Ellipsis so that leading batch axes
-    pass through.  Taps whose terms all fall outside the windows are left
-    out.  Periodic windows start at 0 and wrap modulo the input period.
+    The window is one period in periodic mode, else the one given or, for
+    None, every k with at least one defined term.  ``idx[r, k]`` is the flat
+    input position of the term of output k with the r-th tap l in C order:
+    j = 2k - l for down, j = (k + l)/2 for up.  An undefined term (k + l odd
+    for up, or j outside a zero-mode input) points one past the end of the
+    flattened input, where the kernel appends a zero.
     """
     d = len(g_shape)
-    ks = [2 * np.arange(m) for m in out_shape]
-    out = []
-    for tap in np.ndindex(*g_shape):
-        l = [t + gl for t, gl in zip(tap, g_lo)]
-        if periodic:
-            idx = [np.mod(k - li, n) for k, li, n in zip(ks, l, in_shape)]
-            for a in idx:
-                a.flags.writeable = False  # cached and shared by every caller
-            src = np.ix_(*idx) if d == 2 else tuple(idx)
-            out.append((tap, (Ellipsis,), (Ellipsis,) + src))
-            continue
-        dst, src = [Ellipsis], [Ellipsis]
-        for ax in range(d):
-            # need in_lo <= 2k - l <= in_hi and out_lo <= k <= out_hi
-            k0 = max(out_lo[ax], -(-(in_lo[ax] + l[ax]) // 2))
-            k1 = min(out_lo[ax] + out_shape[ax] - 1,
-                     (in_lo[ax] + in_shape[ax] - 1 + l[ax]) // 2)
-            if k0 > k1:
-                break
-            dst.append(slice(k0 - out_lo[ax], k1 - out_lo[ax] + 1))
-            j0 = 2 * k0 - l[ax] - in_lo[ax]
-            src.append(slice(j0, j0 + 2 * (k1 - k0) + 1, 2))
+    if periodic:
+        if any(in_lo):
+            raise ValueError("periodic mode requires the signal to have lo = 0")
+        if not up and any(n % 2 for n in in_shape):
+            raise ValueError("periodic down_conv needs even period per axis")
+        window = ((0,) * d, tuple(2 * n if up else n // 2 for n in in_shape))
+    elif window is None:
+        g_hi = tuple(l + m - 1 for l, m in zip(g_lo, g_shape))
+        if up:
+            lo = tuple(2 * al - gh for al, gh in zip(in_lo, g_hi))
+            hi = tuple(2 * (al + n - 1) - gl for al, n, gl in zip(in_lo, in_shape, g_lo))
         else:
-            out.append((tap, tuple(dst), tuple(src)))
-    return tuple(out)
+            lo = tuple(-(-(al + gl) // 2) for al, gl in zip(in_lo, g_lo))
+            hi = tuple((al + n - 1 + gh) // 2 for al, n, gh in zip(in_lo, in_shape, g_hi))
+        window = (lo, tuple(h - l + 1 for l, h in zip(lo, hi)))
+    idx, ok = np.zeros((1, 1), dtype=np.intp), np.ones((1, 1), dtype=bool)
+    for g_l, taps, in_l, n, out_l, m in zip(g_lo, g_shape, in_lo, in_shape, *window):
+        # this axis's terms, taps by outputs, combined with the axes before in C order
+        k, l = np.arange(out_l, out_l + m), np.arange(g_l, g_l + taps)[:, None]
+        j = ((k + l) // 2 if up else 2 * k - l) - in_l
+        if periodic:
+            j %= n
+        defined = (j >= 0) & (j < n) & ((k + l) % 2 == 0 if up else True)
+        idx = (idx[:, None, :, None] * n + j[None, :, None, :]).reshape(len(idx) * taps, -1)
+        ok = (ok[:, None, :, None] & defined[None, :, None, :]).reshape(idx.shape)
+    idx = np.where(ok, idx, math.prod(in_shape))
+    idx.flags.writeable = False  # cached and shared by every caller
+    return idx, window
 
 
-def _check_periodic(lo):
-    if any(l != 0 for l in lo):
-        raise ValueError("periodic mode requires the signal to have lo = 0")
+class _TableCache(collections.OrderedDict):
+    """`_build_table` by key, least recently used out first once the tables
+    held pass ``max_bytes`` (the newest one always stays)."""
+
+    max_bytes, held = 64 << 20, 0
+
+    def __call__(self, *key):
+        if key in self:
+            self.move_to_end(key)
+            return self[key]
+        table = self[key] = _build_table(*key)
+        self.held += table[0].nbytes
+        while self.held > self.max_bytes and len(self) > 1:
+            self.held -= self.popitem(last=False)[1][0].nbytes
+        return table
 
 
-def _down(gamma, values, lo, periodic, window=None):
-    """down_conv on a raw array; returns (values, lo).
+_table = _TableCache()
+_CHUNK = 1 << 18  # gathered terms per block of outputs (2 MB), unless one output has more
+
+
+def _entries(values, d):
+    """values as (entries, items), C-contiguous, plus the zero undefined terms read."""
+    x = values.reshape(math.prod(values.shape[:values.ndim - d]), -1)
+    return np.concatenate((x.T, np.zeros((1, len(x)))))
+
+
+def _conv(gamma, values, lo, periodic, window=None, up=False):
+    """down (``up`` False) or up convolution on a raw array; returns (values, lo).
 
     The last ``gamma.dim`` axes of ``values`` are spatial with logical origin
     ``lo``; any leading axes are batch axes.  ``window`` = (lo, shape) fixes
-    the output window (zero mode only); by default it is every k with at
-    least one defined term.
+    the output window (zero mode only); None means every k with a defined
+    term.  Each output's terms are summed in tap order from +0, as a loop
+    over taps adding to zeros would, whatever the batch size or blocks.
     """
     d = gamma.dim
-    n = values.shape[values.ndim - d:]
-    if periodic:
-        _check_periodic(lo)
-        if any(m % 2 for m in n):
-            raise ValueError("periodic down_conv needs even period per axis")
-        window = ((0,) * d, tuple(m // 2 for m in n))
-    elif window is None:
-        out_lo = tuple(-(-(al + gl) // 2) for al, gl in zip(lo, gamma.lo))
-        out_hi = tuple((al + m - 1 + gh) // 2 for al, m, gh in zip(lo, n, gamma.hi))
-        window = (out_lo, tuple(h - l + 1 for l, h in zip(out_lo, out_hi)))
-    out = np.zeros(values.shape[:values.ndim - d] + window[1])
-    for tap, dst, src in _tap_windows(gamma.lo, gamma.shape, tuple(lo), n,
-                                      *window, periodic):
-        v = gamma.values[tap]
-        if v != 0.0:
-            out[dst] += v * values[src]
-    return out, window[0]
+    lead, n = values.shape[:values.ndim - d], values.shape[values.ndim - d:]
+    idx, window = _table(gamma.lo, gamma.shape, tuple(lo), n, None if periodic else window,
+                         periodic, up)
+    x = _entries(values, d)
+    out = np.empty((idx.shape[1], x.shape[1]))
+    step = max(1, _CHUNK // (len(idx) * x.shape[1]))
+    for c in range(0, idx.shape[1], step):
+        P = x.take(idx[:, c:c + step], axis=0)  # (taps, outputs, items)
+        P *= gamma.values.reshape(-1, 1, 1)
+        if P[0].size == 1:  # numpy would sum a lone column pairwise, not in tap order
+            # + 0.0 turns -0 into +0, as the loop's start at +0 did
+            out[c:c + step] = np.cumsum(P, axis=0)[-1] + 0.0
+        else:
+            np.add.reduce(P, axis=0, out=out[c:c + step])
+    return out.T.reshape(lead + window[1]), window[0]
 
 
-def _up(gamma, values, lo, periodic, window=None):
-    """up_conv on a raw array, the adjoint of `_down`; returns (values, lo).
-
-    Axes and ``window`` are as for `_down`; the default window is every k
-    with at least one defined term.
-    """
-    d = gamma.dim
-    m = values.shape[values.ndim - d:]
-    if periodic:
-        _check_periodic(lo)
-        window = ((0,) * d, tuple(2 * k for k in m))
-    elif window is None:
-        out_lo = tuple(2 * al - gh for al, gh in zip(lo, gamma.hi))
-        out_hi = tuple(2 * (al + k - 1) - gl for al, k, gl in zip(lo, m, gamma.lo))
-        window = (out_lo, tuple(h - l + 1 for l, h in zip(out_lo, out_hi)))
-    out = np.zeros(values.shape[:values.ndim - d] + window[1])
-    for tap, dst, src in _tap_windows(gamma.lo, gamma.shape, *window,
-                                      tuple(lo), m, periodic):
-        v = gamma.values[tap]
-        if v != 0.0:
-            out[src] += v * values[dst]
-    return out, window[0]
+_down = functools.partial(_conv, up=False)  # down_conv on a raw array
+_up = functools.partial(_conv, up=True)  # up_conv on a raw array, the adjoint of `_down`
 
 
 def _sum_windows(parts):
@@ -267,12 +258,16 @@ def _tap_sums(gamma, small, small_lo, big, big_lo, periodic):
     x) with small = x and big = dL/dy.  Leading batch axes are summed over.
     """
     d = gamma.dim
-    out = np.zeros(gamma.shape)
-    for tap, dst, src in _tap_windows(
-            gamma.lo, gamma.shape, tuple(big_lo), big.shape[big.ndim - d:],
-            tuple(small_lo), small.shape[small.ndim - d:], periodic):
-        out[tap] = np.vdot(small[dst], big[src])
-    return DTensor(out, gamma.lo)
+    window = None if periodic else (tuple(small_lo), small.shape[small.ndim - d:])
+    idx, _ = _table(gamma.lo, gamma.shape, tuple(big_lo), big.shape[big.ndim - d:], window,
+                    periodic, False)
+    x = _entries(big, d)
+    y = np.ascontiguousarray(small.reshape(x.shape[1], -1).T)  # (outputs, items)
+    out = np.zeros(len(idx))
+    step = max(1, _CHUNK // (len(idx) * x.shape[1]))
+    for c in range(0, idx.shape[1], step):
+        out += x.take(idx[:, c:c + step], axis=0).reshape(len(idx), -1) @ y[c:c + step].ravel()
+    return DTensor(out.reshape(gamma.shape), gamma.lo)
 
 
 def down_conv(gamma, a, periodic=False):

@@ -5,8 +5,10 @@ The private primitives `_down`/`_up`/`_tap_sums` and the batch functions
 the public per-sample API calls them with a batch of one.  The same holds
 for the cascades `_analysis`/`_synthesis` behind `dwt_forward`/`dwt_inverse`
 (and behind the network's passes), and for the batched prior draws behind
-`make_training_set` and `test_risk`.  Each trial owns a `make_rng` stream,
-as in the other randomized suites.
+`make_training_set` and `test_risk`.  The gather kernel behind the
+primitives is held, bit for bit, to a copy of the loop over taps it
+replaced.  Each trial owns a `make_rng` stream, as in the other randomized
+suites.
 """
 
 import numpy as np
@@ -34,7 +36,7 @@ from suniv.sunet import (
     forward,
     random_feasible_net,
 )
-from suniv.tensor_ops import DTensor, _down, _tap_sums, _up, down_conv, up_conv
+from suniv.tensor_ops import DTensor, _TableCache, _down, _tap_sums, _up, down_conv, up_conv
 from suniv.training import TrainConfig, empirical_risk, risk_bound_check, test_risk, train_erm
 from suniv.wavelets import (
     _analysis,
@@ -87,6 +89,121 @@ def tap_sum_reference(gamma, small, small_lo, big, big_lo, periodic):
                     m = tuple(mi % ni for mi, ni in zip(m, n))
                 out[pos] += v * big_at.get(m, 0.0)
     return out
+
+
+def _tap_windows(g_lo, g_shape, in_lo, in_shape, out_lo, out_shape, periodic):
+    """(tap, dst, src) index triples for y[k] += gamma[l] x[2k - l], per tap.
+
+    The per-tap slices the convolutions were built on before the gather
+    tables; kept as the reference the kernel must reproduce bit for bit.
+    """
+    d = len(g_shape)
+    ks = [2 * np.arange(m) for m in out_shape]
+    out = []
+    for tap in np.ndindex(*g_shape):
+        l = [t + gl for t, gl in zip(tap, g_lo)]
+        if periodic:
+            idx = [np.mod(k - li, n) for k, li, n in zip(ks, l, in_shape)]
+            src = np.ix_(*idx) if d == 2 else tuple(idx)
+            out.append((tap, (Ellipsis,), (Ellipsis,) + src))
+            continue
+        dst, src = [Ellipsis], [Ellipsis]
+        for ax in range(d):
+            k0 = max(out_lo[ax], -(-(in_lo[ax] + l[ax]) // 2))
+            k1 = min(out_lo[ax] + out_shape[ax] - 1,
+                     (in_lo[ax] + in_shape[ax] - 1 + l[ax]) // 2)
+            if k0 > k1:
+                break
+            dst.append(slice(k0 - out_lo[ax], k1 - out_lo[ax] + 1))
+            j0 = 2 * k0 - l[ax] - in_lo[ax]
+            src.append(slice(j0, j0 + 2 * (k1 - k0) + 1, 2))
+        else:
+            out.append((tap, tuple(dst), tuple(src)))
+    return out
+
+
+def tap_loop(gamma, values, lo, periodic, window, up):
+    """down (or up) convolution onto ``window`` by a loop over taps, adding to zeros."""
+    n = values.shape[1:]
+    out = np.zeros(values.shape[:1] + window[1])
+    if up:
+        for tap, dst, src in _tap_windows(gamma.lo, gamma.shape, *window, tuple(lo), n, periodic):
+            if gamma.values[tap] != 0.0:
+                out[src] += gamma.values[tap] * values[dst]
+    else:
+        for tap, dst, src in _tap_windows(gamma.lo, gamma.shape, tuple(lo), n, *window, periodic):
+            if gamma.values[tap] != 0.0:
+                out[dst] += gamma.values[tap] * values[src]
+    return out
+
+
+def tap_loop_sums(gamma, small, small_lo, big, big_lo, periodic):
+    """`_tap_sums` by a loop over taps, one vdot each."""
+    out = np.zeros(gamma.shape)
+    for tap, dst, src in _tap_windows(gamma.lo, gamma.shape, tuple(big_lo), big.shape[1:],
+                                      tuple(small_lo), small.shape[1:], periodic):
+        out[tap] = np.vdot(small[dst], big[src])
+    return out
+
+
+def kernel_case(rng, dim, periodic):
+    """A filter of 1-14 taps per axis, a signal and an optional pinned zero-mode window.
+
+    Periods go down to 2, below the filter length; pinned windows may be
+    empty, hold one entry, or reach past every defined term.
+    """
+    shape = tuple(int(rng.choice([1, 2, 3, 7, 14])) for _ in range(dim))
+    g_lo = tuple(int(rng.integers(-9, 4)) for _ in range(dim))
+    gamma = DTensor(rng.standard_normal(shape), g_lo)
+    batch = int(rng.choice([1, B]))
+    if periodic:
+        n = tuple(int(rng.choice([2, 2, 4, 6])) for _ in range(dim))
+        x, lo = rng.standard_normal((batch,) + n), (0,) * dim
+    else:
+        x, lo = random_signal(rng, dim, periodic, batch)
+    window = None
+    if not periodic and rng.random() < 0.5:
+        window = (tuple(int(rng.integers(-12, 6)) for _ in range(dim)),
+                  tuple(int(rng.choice([0, 1, 2, 5, 11])) for _ in range(dim)))
+    return gamma, x, lo, window
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gather_kernel_matches_tap_loop(boundary, dim):
+    periodic = boundary == "periodic"
+    for trial in range(60):
+        rng = make_rng(315, (dim, periodic, trial))
+        gamma, x, lo, window = kernel_case(rng, dim, periodic)
+        y, y_lo = _down(gamma, x, lo, periodic, window)
+        want = tap_loop(gamma, x, lo, periodic, (y_lo, y.shape[1:]), up=False)
+        # bit for bit, down to the sign of zero
+        assert np.array_equal(y, want) and np.array_equal(np.signbit(y), np.signbit(want))
+        G = rng.standard_normal(y.shape)
+        _close(_tap_sums(gamma, G, y_lo, x, lo, periodic).values,
+               tap_loop_sums(gamma, G, y_lo, x, lo, periodic))
+
+        u, u_lo = _up(gamma, x, lo, periodic, window)
+        want = tap_loop(gamma, x, lo, periodic, (u_lo, u.shape[1:]), up=True)
+        assert np.array_equal(u, want) and np.array_equal(np.signbit(u), np.signbit(want))
+        G = rng.standard_normal(u.shape)
+        _close(_tap_sums(gamma, x, lo, G, u_lo, periodic).values,
+               tap_loop_sums(gamma, x, lo, G, u_lo, periodic))
+
+
+def test_table_cache_is_bounded_in_bytes():
+    cache = _TableCache()
+    cache.max_bytes = 3000
+    keys = [((-3, -1), (4, 2), (0, 0), (n, 4), None, True, up)
+            for n in (2, 4, 8, 16) for up in (0, 1)]
+    for key in keys:
+        idx, _ = cache(*key)
+        assert not idx.flags.writeable
+        assert cache(*key)[0] is idx  # a hit returns the cached table
+        held = sum(t[0].nbytes for t in cache.values())
+        assert cache.held == held and (held <= 3000 or len(cache) == 1)
+    # least recently used out first: the newest key stays, the oldest went
+    assert keys[-1] in cache and keys[0] not in cache
 
 
 @pytest.mark.parametrize("boundary", BOUNDARIES)

@@ -490,6 +490,15 @@ class TestCliBadData:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(path) in err
 
+    @pytest.mark.parametrize("command,flag", [("train", "--data"), ("eval", "--model"),
+                                              ("stability", "--replay")])
+    def test_json_syntax_error(self, tmp_path, capsys, command, flag):
+        path = tmp_path / "broken.json"
+        path.write_text('{"format": ')
+        assert main([command, flag, str(path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+
     def test_training_set_missing_key(self, tmp_path, capsys):
         path = tmp_path / "data.json"
         path.write_text(json.dumps({"format": "suniv-training-set-v1"}))

@@ -2,7 +2,7 @@
 
 The convolutions are checked against brute-force enumeration oracles that
 iterate over every (filter tap, signal entry) pair with pure dict
-bookkeeping, independently of the vectorized slice logic.
+bookkeeping, independently of the gather tables of the kernel.
 """
 
 import itertools
@@ -19,10 +19,23 @@ from suniv.tensor_ops import (
     l2_norm,
     reflect,
     dt_add,
-    restrict,
+    _sum_windows,
 )
 
 RT2 = np.sqrt(2.0)
+
+
+def restrict(a, lo, hi):
+    """Entries of ``a`` on the window [lo, hi], zero-padded where undefined.
+
+    Built on `_sum_windows`: add ``a`` to zeros on the window, then cut the
+    union back to the window.
+    """
+    lo = (lo,) * a.dim if isinstance(lo, int) else tuple(lo)
+    hi = (hi,) * a.dim if isinstance(hi, int) else tuple(hi)
+    zeros = np.zeros(tuple(h - l + 1 for l, h in zip(lo, hi)))
+    values, u_lo = _sum_windows([(zeros, lo), (a.values, a.lo)])
+    return DTensor(values[tuple(slice(l - u, h - u + 1) for l, h, u in zip(lo, hi, u_lo))], lo)
 
 
 def _indices(t):
@@ -269,7 +282,12 @@ class TestHelpers:
     def test_restrict_pads_with_zeros(self):
         t = DTensor([1.0, 2.0], lo=0)
         r = restrict(t, -1, 2)
+        assert r.lo == (-1,)
         assert_allclose(r.values, [0.0, 1.0, 2.0, 0.0])
+        # and cuts what lies outside the window, per axis in 2-d
+        t2 = DTensor([[1.0, 2.0], [3.0, 4.0]], lo=(0, 1))
+        r2 = restrict(t2, (1, 0), (2, 1))
+        assert_allclose(r2.values, [[0.0, 3.0], [0.0, 0.0]])
 
     def test_dt_add_union_ranges(self):
         a = DTensor([1.0, 1.0], lo=0)
