@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from suniv.tensor_ops import _Cache
 from suniv.wavelets import _reflected, _synthesis, daubechies_filters, sample_father_wavelet
 
 __all__ = [
@@ -317,9 +318,16 @@ def _draw_prior(prior, grid, N, rng, noise=False):
     return grid_synthesis(s_top, phi, top, grid), W.reshape((N,) + grid.shape) if noise else None
 
 
-def sample_prior(prior, grid, rng):
-    """One random function drawn from the prior, as grid samples."""
-    return _draw_prior(prior, grid, 1, rng)[0][0]
+def sample_prior(prior, grid, rng, size=None):
+    """One random function drawn from the prior, as grid samples.
+
+    With ``size`` = N, N draws with the batch axis first, equal to N calls
+    in a row on the same ``rng``.
+    """
+    if size is not None and size < 1:
+        raise ValueError("size must be >= 1")
+    F = _draw_prior(prior, grid, 1 if size is None else size, rng)[0]
+    return F[0] if size is None else F
 
 
 @functools.lru_cache(maxsize=32)
@@ -345,6 +353,32 @@ def _spatial_axes(grid):
     return tuple(range(-grid.dim, 0))
 
 
+def _fft(f, conj):
+    """FFT of filter samples, conjugated if ``conj``."""
+    spec = np.fft.fftn(f)
+    return np.conj(spec) if conj else spec
+
+
+def _build_spectrum(data, shape, conj):
+    """`_fft` of a filter given by its float64 bytes; read-only."""
+    spec = _fft(np.frombuffer(data).reshape(shape), conj)
+    spec.flags.writeable = False
+    return spec
+
+
+# keyed on content, not identity: callers may change a filter in place
+_spectra = _Cache(_build_spectrum, lambda key, spec: len(key[0]) + spec.nbytes)
+_spectra.max_bytes = 256 << 10
+
+
+def _spectrum(f, conj=False):
+    """FFT of the filter samples ``f`` (conjugated if ``conj``), cached by content."""
+    f = np.ascontiguousarray(f, dtype=float)
+    if 3 * f.nbytes > _spectra.max_bytes:  # its key and spectrum would not fit
+        return _fft(f, conj)
+    return _spectra(f.tobytes(), f.shape, conj)
+
+
 def grid_synthesis(coeff_values, phi, J, grid):
     """Sum_k c_k phi(. - k 2^{-J}) evaluated on the grid (circular).
 
@@ -357,7 +391,7 @@ def grid_synthesis(coeff_values, phi, J, grid):
     axes = _spatial_axes(grid)
     up = np.zeros(coeff_values.shape[:coeff_values.ndim - grid.dim] + grid.shape)
     up[(Ellipsis,) + tuple(slice(None, None, stride) for _ in axes)] = coeff_values
-    return np.fft.ifftn(np.fft.fftn(up, axes=axes) * np.fft.fftn(phi), axes=axes).real
+    return np.fft.ifftn(np.fft.fftn(up, axes=axes) * _spectrum(phi), axes=axes).real
 
 
 def grid_analysis(g, psi, J, grid):
@@ -369,7 +403,7 @@ def grid_analysis(g, psi, J, grid):
     if g.shape[g.ndim - grid.dim:] != grid.shape:
         raise ValueError("sample shape does not match grid")
     axes = _spatial_axes(grid)
-    corr = np.fft.ifftn(np.fft.fftn(g, axes=axes) * np.conj(np.fft.fftn(psi)), axes=axes).real
+    corr = np.fft.ifftn(np.fft.fftn(g, axes=axes) * _spectrum(psi, conj=True), axes=axes).real
     stride = grid.n // 2 ** J
     take = corr[(Ellipsis,) + tuple(slice(None, None, stride) for _ in axes)]
     return grid.h ** grid.dim * take

@@ -170,9 +170,13 @@ class SUNet:
                 yield ("b", j, e, self.b[j][e])
 
     def copy(self):
-        return SUNet(
-            J=self.J,
-            dim=self.dim,
+        """Copies of the filters, thresholds and samples; the rest is shared.
+
+        The state is valid already, so `__post_init__` does not run again.
+        """
+        out = object.__new__(type(self))
+        out.__dict__.update(
+            self.__dict__,
             alpha=[f.copy() for f in self.alpha],
             beta=[[f.copy() for f in g] for g in self.beta],
             a=[f.copy() for f in self.a],
@@ -180,11 +184,8 @@ class SUNet:
             taus=self.taus.copy(),
             psi=self.psi.copy(),
             phi=self.phi.copy(),
-            grid=self.grid,
-            boundary=self.boundary,
-            M=self.M,
-            class_params=self.class_params,
         )
+        return out
 
 
 @dataclass
@@ -240,6 +241,8 @@ def _wrap_index(lo, shape, n):
 def _fold(values, lo, n):
     """Sum a window at logical origin ``lo`` onto the box [0, n)^d modulo n."""
     d = len(lo)
+    if not any(lo) and values.shape[-d:] == (n,) * d:  # already the box
+        return values + 0.0  # turns -0 into +0, as adding to zeros does
     out = np.zeros(values.shape[:-d] + (n,) * d)
     np.add.at(out, _wrap_index(lo, values.shape[-d:], n), values)
     return out

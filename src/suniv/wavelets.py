@@ -11,7 +11,10 @@ The batched cascades ``_analysis`` (contracting) and ``_synthesis``
 (expanding) are the package's one multiscale level loop, with one filter
 pair per level: the DWT runs them with fixed filters, the prior through
 ``_synthesis``, and the network (:mod:`suniv.sunet`) with learned filters,
-transposed in its backward pass.
+transposed in its backward pass.  Each level is one call of the
+:mod:`suniv.tensor_ops` level kernel: the scaling and detail filters read
+the same input on the way down, and their channels are summed in channel
+order, scaling first, on the way up.
 
 Index conventions follow the analysis recursion
 
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from suniv.tensor_ops import DTensor, _down, _sum_windows, _up, reflect, tensor_product
+from suniv.tensor_ops import DTensor, _conv, reflect, tensor_product
 
 __all__ = [
     "FilterBank",
@@ -254,10 +257,8 @@ def _analysis(s, filters, periodic, windows=None):
     ss, ds = [None] * J + [s], [None] * J
     for j in range(J - 1, -1, -1):
         h, gs = filters[j]
-        w_s, w_d = (None, [None] * len(gs)) if windows is None else (
-            _window(windows[0][j]), [_window(t) for t in windows[1][j]])
-        ss[j] = _down(h, *ss[j + 1], periodic, w_s)
-        ds[j] = [_down(g, *ss[j + 1], periodic, w) for g, w in zip(gs, w_d)]
+        w = None if windows is None else [_window(t) for t in [windows[0][j]] + windows[1][j]]
+        ss[j], *ds[j] = _conv([h] + gs, ss[j + 1], periodic, w)
     return ss, ds
 
 
@@ -270,9 +271,7 @@ def _synthesis(s, details, filters, periodic, windows=None):
     levels = [s]
     for j, ((h, gs), dets) in enumerate(zip(filters, details)):
         w = None if windows is None else _window(windows[j + 1])
-        parts = [_up(h, *levels[j], periodic, w)]
-        parts += [_up(g, *d, periodic, w) for g, d in zip(gs, dets)]
-        levels.append(_sum_windows(parts))
+        levels.append(_conv([h] + gs, [levels[j]] + dets, periodic, w, up=True))
     return levels
 
 

@@ -1,6 +1,7 @@
 """Seeded fuzz tests of the batch-aware core against per-sample references.
 
-The private primitives `_down`/`_up`/`_tap_sums` and the batch functions
+The private primitives `_conv` (one cascade level; `_down`/`_up` are its
+one-filter calls) and `_tap_sums`, and the batch functions
 `_forward_batch`/`_backward_batch` carry every forward and backward pass;
 the public per-sample API calls them with a batch of one.  The same holds
 for the cascades `_analysis`/`_synthesis` behind `dwt_forward`/`dwt_inverse`
@@ -36,7 +37,17 @@ from suniv.sunet import (
     forward,
     random_feasible_net,
 )
-from suniv.tensor_ops import DTensor, _TableCache, _down, _tap_sums, _up, down_conv, up_conv
+from suniv.tensor_ops import (
+    DTensor,
+    _conv,
+    _down,
+    _sum_windows,
+    _TableCache,
+    _tap_sums,
+    _up,
+    down_conv,
+    up_conv,
+)
 from suniv.training import TrainConfig, empirical_risk, risk_bound_check, test_risk, train_erm
 from suniv.wavelets import (
     _analysis,
@@ -146,26 +157,40 @@ def tap_loop_sums(gamma, small, small_lo, big, big_lo, periodic):
     return out
 
 
-def kernel_case(rng, dim, periodic):
-    """A filter of 1-14 taps per axis, a signal and an optional pinned zero-mode window.
-
-    Periods go down to 2, below the filter length; pinned windows may be
-    empty, hold one entry, or reach past every defined term.
-    """
+def kernel_filter(rng, dim):
+    """A filter of 1-14 taps per axis."""
     shape = tuple(int(rng.choice([1, 2, 3, 7, 14])) for _ in range(dim))
     g_lo = tuple(int(rng.integers(-9, 4)) for _ in range(dim))
-    gamma = DTensor(rng.standard_normal(shape), g_lo)
-    batch = int(rng.choice([1, B]))
+    return DTensor(rng.standard_normal(shape), g_lo)
+
+
+def kernel_input(rng, dim, periodic, batch):
+    """A signal; periods go down to 2, below the filter length."""
     if periodic:
         n = tuple(int(rng.choice([2, 2, 4, 6])) for _ in range(dim))
-        x, lo = rng.standard_normal((batch,) + n), (0,) * dim
-    else:
-        x, lo = random_signal(rng, dim, periodic, batch)
-    window = None
-    if not periodic and rng.random() < 0.5:
-        window = (tuple(int(rng.integers(-12, 6)) for _ in range(dim)),
-                  tuple(int(rng.choice([0, 1, 2, 5, 11])) for _ in range(dim)))
-    return gamma, x, lo, window
+        return rng.standard_normal((batch,) + n), (0,) * dim
+    return random_signal(rng, dim, periodic, batch)
+
+
+def kernel_window(rng, dim, periodic):
+    """None, or a pinned zero-mode window: empty, one entry, or past every defined term."""
+    if periodic or rng.random() < 0.5:
+        return None
+    return (tuple(int(rng.integers(-12, 6)) for _ in range(dim)),
+            tuple(int(rng.choice([0, 1, 2, 5, 11])) for _ in range(dim)))
+
+
+def kernel_case(rng, dim, periodic):
+    """A filter, a signal and an optional pinned zero-mode window."""
+    gamma = kernel_filter(rng, dim)
+    batch = int(rng.choice([1, B]))
+    x, lo = kernel_input(rng, dim, periodic, batch)
+    return gamma, x, lo, kernel_window(rng, dim, periodic)
+
+
+def assert_same(got, want):
+    """Bit for bit, down to the sign of zero."""
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("boundary", BOUNDARIES)
@@ -176,19 +201,50 @@ def test_gather_kernel_matches_tap_loop(boundary, dim):
         rng = make_rng(315, (dim, periodic, trial))
         gamma, x, lo, window = kernel_case(rng, dim, periodic)
         y, y_lo = _down(gamma, x, lo, periodic, window)
-        want = tap_loop(gamma, x, lo, periodic, (y_lo, y.shape[1:]), up=False)
-        # bit for bit, down to the sign of zero
-        assert np.array_equal(y, want) and np.array_equal(np.signbit(y), np.signbit(want))
+        assert_same(y, tap_loop(gamma, x, lo, periodic, (y_lo, y.shape[1:]), up=False))
         G = rng.standard_normal(y.shape)
         _close(_tap_sums(gamma, G, y_lo, x, lo, periodic).values,
                tap_loop_sums(gamma, G, y_lo, x, lo, periodic))
 
         u, u_lo = _up(gamma, x, lo, periodic, window)
-        want = tap_loop(gamma, x, lo, periodic, (u_lo, u.shape[1:]), up=True)
-        assert np.array_equal(u, want) and np.array_equal(np.signbit(u), np.signbit(want))
+        assert_same(u, tap_loop(gamma, x, lo, periodic, (u_lo, u.shape[1:]), up=True))
         G = rng.standard_normal(u.shape)
         _close(_tap_sums(gamma, x, lo, G, u_lo, periodic).values,
                tap_loop_sums(gamma, x, lo, G, u_lo, periodic))
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_level_kernel_matches_per_filter_tap_loops(boundary, dim):
+    # one `_conv` call per cascade level: F filters of different supports
+    # down from one input, or up from one input each and summed in filter order
+    periodic = boundary == "periodic"
+    for trial in range(40):
+        rng = make_rng(316, (dim, periodic, trial))
+        gammas = [kernel_filter(rng, dim) for _ in range(int(rng.choice([2, 4])))]
+        batch = int(rng.choice([1, B]))
+        x, lo = kernel_input(rng, dim, periodic, batch)
+        windows = [kernel_window(rng, dim, periodic) for _ in gammas]
+        for g, w, (y, y_lo) in zip(gammas, windows, _conv(gammas, (x, lo), periodic, windows),
+                                   strict=True):
+            one, one_lo = _down(g, x, lo, periodic, w)
+            assert y_lo == one_lo and y.shape == one.shape
+            assert_same(y, tap_loop(g, x, lo, periodic, (y_lo, y.shape[1:]), up=False))
+
+        if periodic:
+            xs = [(rng.standard_normal(x.shape), lo) for _ in gammas]
+        else:
+            xs = [random_signal(rng, dim, periodic, batch) for _ in gammas]
+        window = kernel_window(rng, dim, periodic)
+        parts = []
+        for g, (v, v_lo) in zip(gammas, xs):
+            one, one_lo = _up(g, v, v_lo, periodic, window)
+            parts.append((tap_loop(g, v, v_lo, periodic, (one_lo, one.shape[1:]), up=True),
+                          one_lo))
+        want, want_lo = _sum_windows(parts)
+        u, u_lo = _conv(gammas, xs, periodic, window, up=True)
+        assert u_lo == want_lo
+        assert_same(u, want)
 
 
 def test_table_cache_is_bounded_in_bytes():
@@ -456,6 +512,19 @@ def test_batched_analysis_matches_dwt_forward(boundary, dim):
             expected = [want.coarse] + [t for dets in want.details for t in dets]
             for (v, vlo), t in zip(got, expected, strict=True):
                 assert vlo == t.lo and np.array_equal(v, t.values)
+
+
+@pytest.mark.parametrize("dim,n,J_max,M", [(1, 64, 3, 3), (1, 1024, 5, 3), (2, 16, 2, 2)])
+def test_sample_prior_size_matches_single_draws(dim, n, J_max, M):
+    grid = Grid(dim, n)
+    prior = PriorParams(s=1.0, L=1.5, J_max=J_max, M=M)
+    got = sample_prior(prior, grid, make_rng(317, (dim, n)), size=B)
+    rng = make_rng(317, (dim, n))
+    want = np.array([sample_prior(prior, grid, rng) for _ in range(B)])
+    assert got.shape == (B,) + grid.shape
+    assert_same(got, want)
+    with pytest.raises(ValueError, match="size"):
+        sample_prior(prior, grid, rng, size=0)
 
 
 def _replayed_pairs(op, prior, sigma, N, rng):
