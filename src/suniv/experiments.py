@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -134,16 +135,16 @@ def select_parameters(s, beta, sigma, N, d, a1=1.0):
     """
     if d not in (1, 2):
         raise ValueError("d must be 1 or 2")
-    if not s > 0:
-        raise ValueError("s must be positive")
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    if not N > 1:
-        raise ValueError("N must exceed 1")
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    if not a1 > 0:
-        raise ValueError("a1 must be positive")
+    if not 0 < s < math.inf:
+        raise ValueError("s must be positive and finite")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
+    if not 1 < N < math.inf:
+        raise ValueError("N must exceed 1 and be finite")
+    if not 0 <= beta < math.inf:
+        raise ValueError("beta must be nonnegative and finite")
+    if not 0 < a1 < math.inf:
+        raise ValueError("a1 must be positive and finite")
 
     notes = ["kappa_tau and rho use natural logarithms of N"]
     p = 2.0 * s + 2.0 * beta + d
@@ -237,14 +238,14 @@ class SweepConfig:
             raise ValueError("trials must be >= 2")
         self.sigmas = tuple(float(v) for v in self.sigmas)
         self.Ns = tuple(int(v) for v in self.Ns)
-        if any(v <= 0 for v in self.sigmas) or self.sigma <= 0:
-            raise ValueError("noise levels must be positive")
+        if not all(0 < v < math.inf for v in (*self.sigmas, self.sigma)):
+            raise ValueError("noise levels must be positive and finite")
         if any(v < 2 for v in self.Ns) or self.N < 1:
             raise ValueError("sample sizes must be >= 2")
         if self.J_cap < 1 or (self.J_override is not None and self.J_override < 1):
             raise ValueError("depths must be >= 1")
-        if not self.select_N > 1:
-            raise ValueError("select_N must exceed 1")
+        if not 1 < self.select_N < math.inf:
+            raise ValueError("select_N must exceed 1 and be finite")
 
 
 def denoising_sweep_config(**overrides):
@@ -732,90 +733,18 @@ def _elapsed(ns, t0):
     return time.perf_counter() - t0 if ns.timing else 0.0
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    parser.add_argument("--config", default=None, metavar="FILE",
-                        help="JSON object with flag defaults (explicit flags win)")
-    parser.add_argument("--out", default=".", metavar="DIR", help="output directory")
-    parser.add_argument("--boundary", choices=("zero", "periodic"), default="periodic",
-                        help="detail-channel boundary mode: zero-extension or periodic")
-    parser.add_argument("--timing", action="store_true",
-                        help="record real wall-clock times (default: zeros, byte-stable output)")
-
-
-def _add_model_flags(parser):
-    parser.add_argument("--operator", choices=("identity", "sobolev"), default="identity")
-    parser.add_argument("--op-l", type=int, default=1, help="smoothing order parameter L")
-    parser.add_argument("--sigma", type=float, default=0.25, help="noise level")
-    parser.add_argument("--d", type=int, choices=(1, 2), default=1, help="dimension")
-    parser.add_argument("--grid-n", type=int, default=64, help="grid points per axis")
-    parser.add_argument("--s", type=float, default=1.0, help="prior smoothness")
-    parser.add_argument("--prior-l", type=float, default=1.0, help="prior amplitude")
-    parser.add_argument("--prior-depth", type=int, default=2, help="deepest detail level of the prior")
-    parser.add_argument("--prior-m", type=int, default=3, help="prior synthesis filter order")
-
-
-def _add_sweep_flags(parser, n_axis=False):
-    parser.add_argument("--operator", choices=("identity", "sobolev"), default=None)
-    parser.add_argument("--op-l", type=int, default=None)
-    parser.add_argument("--s", type=float, default=None)
-    parser.add_argument("--d", type=int, choices=(1, 2), default=None)
-    parser.add_argument("--grid-n", type=int, default=None)
-    parser.add_argument("--prior-l", type=float, default=None)
-    parser.add_argument("--prior-depth", type=int, default=None)
-    parser.add_argument("--prior-m", type=int, default=None)
-    parser.add_argument("--m", type=int, default=None, help="estimator filter order")
-    parser.add_argument("--j", type=int, default=None, help="pin the estimator depth")
-    parser.add_argument("--j-cap", type=int, default=None)
-    parser.add_argument("--trials", type=int, default=None, help="Monte Carlo test draws per point")
-    parser.add_argument("--estimator", choices=("preset", "trained"), default=None)
-    parser.add_argument("--epochs", type=int, default=None)
-    parser.add_argument("--step", type=float, default=None)
-    parser.add_argument("--batch", type=int, default=None)
-    parser.add_argument("--rho-frac", type=float, default=None)
-    if n_axis:
-        parser.add_argument("--n-list", type=int, nargs="+", default=None,
-                            help="training-set sizes to sweep")
-        parser.add_argument("--sigma", type=float, default=None, help="fixed noise level")
-    else:
-        parser.add_argument("--sigmas", type=float, nargs="+", default=None,
-                            help="noise levels to sweep")
-        parser.add_argument("--select-n", type=float, default=None,
-                            help="sample size fed to parameter selection")
-        parser.add_argument("--n-train", type=int, default=None,
-                            help="training-set size (trained estimator)")
-
-
-_SWEEP_FIELDS = {
-    "operator": "operator", "op_l": "op_L", "s": "s", "d": "d", "grid_n": "grid_n",
-    "prior_l": "prior_L", "prior_depth": "prior_depth", "prior_m": "prior_M",
-    "m": "M", "sigmas": "sigmas", "n_list": "Ns", "sigma": "sigma",
-    "select_n": "select_N", "j_cap": "J_cap", "j": "J_override",
-    "trials": "trials", "estimator": "estimator", "n_train": "N",
-    "epochs": "train_epochs", "step": "train_step", "batch": "train_batch",
-    "rho_frac": "train_rho_frac",
-}
-
-
-def _sweep_config_from(ns, base):
-    overrides = {"boundary": ns.boundary, "seed": ns.seed}
-    for dest, field_name in _SWEEP_FIELDS.items():
-        val = getattr(ns, dest, None)
-        if val is not None:
-            overrides[field_name] = tuple(val) if isinstance(val, list) else val
-    return replace(base, **overrides)
-
-
 def _prior_from_flags(ns):
     return PriorParams(s=ns.s, L=ns.prior_l, J_max=ns.prior_depth, M=ns.prior_m)
 
 
+def _config_from(ns, base):
+    """``base`` with the seed, the boundary and each field whose flag has a value."""
+    fields = {f.config_field(ns.command): getattr(ns, f.dest) for f in _FLAGS
+              if f.config_field(ns.command) and getattr(ns, f.dest, None) is not None}
+    return replace(base, seed=ns.seed, boundary=ns.boundary, **fields)
+
+
 def _cmd_params(ns):
-    missing = [flag for flag, val in (("--s", ns.s), ("--beta", ns.beta),
-                                      ("--sigma", ns.sigma), ("--n", ns.n)) if val is None]
-    if missing:
-        print(f"error: params requires {', '.join(missing)}", file=sys.stderr)
-        return 2
     sel = select_parameters(ns.s, ns.beta, ns.sigma, ns.n, ns.d, ns.a1)
     payload = {"command": "params", **sel.to_dict()}
     print(_dumps(payload))
@@ -885,9 +814,6 @@ def _cmd_train(ns):
 
 
 def _cmd_eval(ns):
-    if not ns.model:
-        print("error: eval requires --model", file=sys.stderr)
-        return 2
     outdir = _ensure_out(ns)
     t0 = time.perf_counter()
     net = load_net(ns.model)
@@ -904,12 +830,18 @@ def _cmd_eval(ns):
     return 0
 
 
-def _run_sweep(ns, base, runner, stem):
+def _cmd_sweep(ns):
     outdir = _ensure_out(ns)
     t0 = time.perf_counter()
-    cfg = _sweep_config_from(ns, base)
+    if ns.command == "sweep-n":
+        cfg, runner = _config_from(ns, n_sweep_config()), rate_sweep_N
+    elif ns.preset == "denoising":
+        cfg, runner = _config_from(ns, denoising_sweep_config()), rate_sweep_sigma
+    else:
+        cfg, runner = _config_from(ns, deconvolution_sweep_config()), rate_sweep_sigma
     result = runner(cfg)
-    payload = {"command": stem.replace("_", "-"), "seed": ns.seed,
+    stem = ns.command.replace("-", "_")
+    payload = {"command": ns.command, "seed": ns.seed,
                "config": _jsonable(asdict(cfg)), "result": result.to_dict(),
                "elapsed_seconds": _elapsed(ns, t0)}
     _write_json(os.path.join(outdir, f"{stem}.json"), payload)
@@ -918,15 +850,6 @@ def _run_sweep(ns, base, runner, stem):
     print(f"{result.axis} sweep: slope {slope} (theory {result.theoretical_exponent:.4f}), "
           f"monotone within 2 se: {result.monotone_2se}")
     return 0
-
-
-def _cmd_sweep_sigma(ns):
-    base = denoising_sweep_config() if ns.preset == "denoising" else deconvolution_sweep_config()
-    return _run_sweep(ns, base, rate_sweep_sigma, "sweep_sigma")
-
-
-def _cmd_sweep_n(ns):
-    return _run_sweep(ns, n_sweep_config(), rate_sweep_N, "sweep_n")
 
 
 def _stability_table(report):
@@ -945,13 +868,7 @@ def _cmd_stability(ns):
         print(_dumps(result))
         _write_json(os.path.join(outdir, "replay.json"), result)
         return 0 if result["pass"] else 1
-    overrides = {k: getattr(ns, k) for k in ("size_trials", "perturb_trials",
-                 "distance_trials", "risk_bound_instances", "risk_bound_draws",
-                 "j", "dim", "grid_n") if getattr(ns, k, None) is not None}
-    if "j" in overrides:
-        overrides["J"] = overrides.pop("j")
-    cfg = StabilityConfig(boundary=ns.boundary, seed=ns.seed, **overrides)
-    report = stability_suite(cfg)
+    report = stability_suite(_config_from(ns, StabilityConfig()))
     _write_json(os.path.join(outdir, "stability.json"), report)
     print(_stability_table(report))
     return 0 if report["all_pass"] else 1
@@ -967,128 +884,202 @@ def _cmd_oracle_check(ns):
     return 0 if report["pass"] else 1
 
 
+_COMMANDS = {
+    "params": (_cmd_params, "derive estimator hyperparameters"),
+    "gen-data": (_cmd_gen_data, "synthesize a training set"),
+    "train": (_cmd_train, "fit a net by projected gradient descent"),
+    "eval": (_cmd_eval, "Monte Carlo test risk of a saved net"),
+    "sweep-sigma": (_cmd_sweep, "risk rate across noise levels"),
+    "sweep-n": (_cmd_sweep, "risk across training-set sizes"),
+    "stability": (_cmd_stability, "randomized inequality suite"),
+    "oracle-check": (_cmd_oracle_check,
+                     "transform round trips and reference-estimator equivalence"),
+}
+_CONFIG_COMMANDS = ("sweep-sigma", "sweep-n", "stability")  # build a Sweep/StabilityConfig
+
+
+def _finite(text):
+    """The type of every float flag: a number that is neither nan nor inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+class _Flag(namedtuple("_Flag", "name cmds type default choices nargs required field help metavar",
+                       defaults=(None, None, None, None, (), None, None, None))):
+    """One CLI flag, for every subcommand in ``cmds``; ``type`` None is a string, bool a switch.
+
+    ``field`` is the SweepConfig/StabilityConfig field the flag fills, a dict
+    by subcommand where the names differ.
+    """
+
+    dest = property(lambda self: self.name[2:].replace("-", "_"))
+
+    def config_field(self, command):
+        field = self.field.get(command) if isinstance(self.field, dict) else self.field
+        return field if command in _CONFIG_COMMANDS else None
+
+    def argparse_kwargs(self, command):
+        """A flag with a config field defaults to None, so the base config's value stands."""
+        required = command in self.required
+        kwargs = {"default": None if required or self.config_field(command) else self.default,
+                  "help": self.help}
+        if self.type is bool:
+            return {**kwargs, "action": "store_true"}
+        return {**kwargs, "type": self.type, "choices": self.choices, "nargs": self.nargs,
+                "required": required, "metavar": self.metavar}
+
+
+_ALL = tuple(_COMMANDS)
+_SWEEPS = ("sweep-sigma", "sweep-n")
+_TRAIN = ("train", *_SWEEPS)
+_MODEL = ("gen-data", "train", "eval", *_SWEEPS)
+_FLAGS = (
+    _Flag("--seed", _ALL, int, 0, help="master RNG seed"),
+    _Flag("--config", _ALL, metavar="FILE",
+          help="JSON object of this subcommand's flags (explicit flags win)"),
+    _Flag("--out", _ALL, default=".", metavar="DIR", help="output directory"),
+    _Flag("--boundary", _ALL, default="periodic", choices=("zero", "periodic"),
+          help="detail-channel boundary mode: zero-extension or periodic"),
+    _Flag("--timing", _ALL, bool, False,
+          help="record real wall-clock times (default: zeros, byte-stable output)"),
+    _Flag("--s", ("params", *_MODEL), _finite, 1.0, required=("params",), field="s",
+          help="prior smoothness"),
+    _Flag("--beta", ("params",), _finite, required=("params",), help="operator smoothing order"),
+    _Flag("--sigma", ("params", "gen-data", "train", "eval", "sweep-n"), _finite, 0.25,
+          required=("params",), field="sigma", help="noise level"),
+    _Flag("--n", ("params",), _finite, required=("params",), help="training-set size"),
+    _Flag("--d", ("params", *_MODEL), int, 1, choices=(1, 2), field="d", help="dimension"),
+    _Flag("--a1", ("params",), _finite, 1.0, help="lower envelope constant of the operator"),
+    _Flag("--operator", _MODEL, default="identity", choices=("identity", "sobolev"),
+          field="operator"),
+    _Flag("--op-l", _MODEL, int, 1, field="op_L", help="smoothing order parameter L"),
+    _Flag("--grid-n", (*_MODEL, "stability"), int, 64, field="grid_n", help="grid points per axis"),
+    _Flag("--prior-l", _MODEL, _finite, 1.0, field="prior_L", help="prior amplitude"),
+    _Flag("--prior-depth", _MODEL, int, 2, field="prior_depth",
+          help="deepest detail level of the prior"),
+    _Flag("--prior-m", _MODEL, int, 3, field="prior_M", help="prior synthesis filter order"),
+    _Flag("--n-samples", ("gen-data", "train"), int, 64),
+    _Flag("--binary", ("gen-data",), bool, False,
+          help="write a NumPy archive training_set.npz (arrays Y, F and a JSON header) "
+               "instead of training_set.json"),
+    _Flag("--data", ("train",), metavar="FILE",
+          help="training-set file (otherwise synthesized from the model flags)"),
+    _Flag("--init", ("train",), default="preset", choices=("preset", "random")),
+    _Flag("--m", _TRAIN, int, 3, field="M", help="estimator filter order"),
+    _Flag("--j", (*_TRAIN, "stability"), int, help="net depth (default: derived or the preset's)",
+          field={"sweep-sigma": "J_override", "sweep-n": "J_override", "stability": "J"}),
+    _Flag("--j-cap", _SWEEPS, int, field="J_cap"),
+    _Flag("--epochs", _TRAIN, int, 100, field="train_epochs"),
+    _Flag("--step", _TRAIN, _finite, 0.5, field="train_step"),
+    _Flag("--batch", _TRAIN, int, field="train_batch"),
+    _Flag("--rho-frac", _TRAIN, _finite, 0.05, field="train_rho_frac",
+          help="slack as a fraction of the reference risk"),
+    _Flag("--jitter", ("train",), _finite, 0.0),
+    _Flag("--model", ("eval",), required=("eval",), metavar="FILE"),
+    _Flag("--trials", ("eval", *_SWEEPS), int, 100, field="trials",
+          help="Monte Carlo test draws per point"),
+    _Flag("--estimator", _SWEEPS, choices=("preset", "trained"), field="estimator"),
+    _Flag("--preset", ("sweep-sigma",), default="denoising",
+          choices=("denoising", "deconvolution"), help="base configuration"),
+    _Flag("--sigmas", ("sweep-sigma",), _finite, nargs="+", field="sigmas",
+          help="noise levels to sweep"),
+    _Flag("--select-n", ("sweep-sigma",), _finite, field="select_N",
+          help="sample size fed to parameter selection"),
+    _Flag("--n-train", ("sweep-sigma",), int, field="N",
+          help="training-set size (trained estimator)"),
+    _Flag("--n-list", ("sweep-n",), int, nargs="+", field="Ns", help="training-set sizes to sweep"),
+    _Flag("--size-trials", ("stability",), int, field="size_trials"),
+    _Flag("--perturb-trials", ("stability",), int, field="perturb_trials"),
+    _Flag("--distance-trials", ("stability",), int, field="distance_trials"),
+    _Flag("--risk-bound-instances", ("stability",), int, field="risk_bound_instances"),
+    _Flag("--risk-bound-draws", ("stability",), int, field="risk_bound_draws"),
+    _Flag("--dim", ("stability",), int, choices=(1, 2), field="dim"),
+    _Flag("--replay", ("stability",), metavar="FILE",
+          help="re-run a serialized worst-instance record"),
+    _Flag("--roundtrip-trials", ("oracle-check",), int, 40),
+    _Flag("--oracle-trials", ("oracle-check",), int, 20),
+)
+
+
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    _add_common(common)
     parser = argparse.ArgumentParser(
-        prog="suniv", parents=[common],
+        prog="suniv",
         description="Wavelet-structured estimators for noisy linear inverse problems on the torus.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    subparsers = {}
-
-    p = sub.add_parser("params", parents=[common], help="derive estimator hyperparameters")
-    p.add_argument("--s", type=float, default=None, help="prior smoothness")
-    p.add_argument("--beta", type=float, default=None, help="operator smoothing order")
-    p.add_argument("--sigma", type=float, default=None, help="noise level")
-    p.add_argument("--n", type=float, default=None, help="training-set size")
-    p.add_argument("--d", type=int, choices=(1, 2), default=1, help="dimension")
-    p.add_argument("--a1", type=float, default=1.0, help="lower envelope constant of the operator")
-    p.set_defaults(func=_cmd_params)
-    subparsers["params"] = p
-
-    p = sub.add_parser("gen-data", parents=[common], help="synthesize a training set")
-    _add_model_flags(p)
-    p.add_argument("--n-samples", type=int, default=64)
-    p.add_argument("--binary", action="store_true",
-                   help="write a NumPy archive training_set.npz (arrays Y, F and a JSON "
-                        "header) instead of training_set.json")
-    p.set_defaults(func=_cmd_gen_data)
-    subparsers["gen-data"] = p
-
-    p = sub.add_parser("train", parents=[common], help="fit a net by projected gradient descent")
-    _add_model_flags(p)
-    p.add_argument("--data", default=None, metavar="FILE",
-                   help="training-set file (otherwise synthesized from the model flags)")
-    p.add_argument("--n-samples", type=int, default=64)
-    p.add_argument("--init", choices=("preset", "random"), default="preset")
-    p.add_argument("--m", type=int, default=3, help="estimator filter order")
-    p.add_argument("--j", type=int, default=None, help="estimator depth (default: derived)")
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--step", type=float, default=0.5)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--rho-frac", type=float, default=0.05,
-                   help="slack as a fraction of the reference risk")
-    p.add_argument("--jitter", type=float, default=0.0)
-    p.set_defaults(func=_cmd_train)
-    subparsers["train"] = p
-
-    p = sub.add_parser("eval", parents=[common], help="Monte Carlo test risk of a saved net")
-    _add_model_flags(p)
-    p.add_argument("--model", default=None, metavar="FILE")
-    p.add_argument("--trials", type=int, default=100)
-    p.set_defaults(func=_cmd_eval)
-    subparsers["eval"] = p
-
-    p = sub.add_parser("sweep-sigma", parents=[common], help="risk rate across noise levels")
-    p.add_argument("--preset", choices=("denoising", "deconvolution"), default="denoising",
-                   help="base configuration")
-    _add_sweep_flags(p)
-    p.set_defaults(func=_cmd_sweep_sigma)
-    subparsers["sweep-sigma"] = p
-
-    p = sub.add_parser("sweep-n", parents=[common], help="risk across training-set sizes")
-    _add_sweep_flags(p, n_axis=True)
-    p.set_defaults(func=_cmd_sweep_n)
-    subparsers["sweep-n"] = p
-
-    p = sub.add_parser("stability", parents=[common], help="randomized inequality suite")
-    p.add_argument("--size-trials", type=int, default=None)
-    p.add_argument("--perturb-trials", type=int, default=None)
-    p.add_argument("--distance-trials", type=int, default=None)
-    p.add_argument("--risk-bound-instances", type=int, default=None)
-    p.add_argument("--risk-bound-draws", type=int, default=None)
-    p.add_argument("--j", type=int, default=None)
-    p.add_argument("--dim", type=int, choices=(1, 2), default=None)
-    p.add_argument("--grid-n", type=int, default=None)
-    p.add_argument("--replay", default=None, metavar="FILE",
-                   help="re-run a serialized worst-instance record")
-    p.set_defaults(func=_cmd_stability)
-    subparsers["stability"] = p
-
-    p = sub.add_parser("oracle-check", parents=[common],
-                       help="transform round trips and reference-estimator equivalence")
-    p.add_argument("--roundtrip-trials", type=int, default=40)
-    p.add_argument("--oracle-trials", type=int, default=20)
-    p.set_defaults(func=_cmd_oracle_check)
-    subparsers["oracle-check"] = p
-
-    return parser, subparsers
+    for command, (func, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.set_defaults(func=func)
+        _add_flags(p, command, _FLAGS)
+    return parser
 
 
-def _config_defaults(argv):
-    """Extract the --config file from argv and load it as flag defaults."""
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                raise ValueError("--config needs a file argument")
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-    if path is None:
-        return {}
+def _add_flags(parser, command, flags):
+    """Declare on ``parser`` each of ``flags`` that ``command`` takes."""
+    for flag in flags:
+        if command in flag.cmds:
+            parser.add_argument(flag.name, **flag.argparse_kwargs(command))
+
+
+def _config_tokens(flag, value):
+    """argv tokens setting ``flag`` to a --config value; TypeError if the value does not fit."""
+    if flag.type is bool:
+        if not isinstance(value, bool):
+            raise TypeError
+        return [flag.name] * value
+    values = value if flag.nargs else [value]
+    if not isinstance(values, list) or not values or any(
+            isinstance(v, (bool, list, dict)) for v in values):
+        raise TypeError
+    parsed = [(flag.type or str)(str(v)) for v in values]  # so the error names key and file
+    if flag.choices and not all(v in flag.choices for v in parsed):
+        raise TypeError
+    return [flag.name, *map(str, values)] if flag.nargs else [f"{flag.name}={value}"]
+
+
+def _config_argv(command, path):
+    """The --config file's JSON object as argv tokens for ``command``'s own flags.
+
+    A key is a flag name without its dashes (``grid_n`` or ``grid-n``); null
+    leaves the default.  A key that is not a flag, or a bad value, raises ValueError.
+    """
     obj = _read_json(path)
     if not isinstance(obj, dict):
-        raise ValueError("config file must hold a JSON object")
-    return {str(k).replace("-", "_"): v for k, v in obj.items()
-            if str(k) not in ("func", "command", "config")}
+        raise ValueError(f"{path}: not a JSON object")
+    flags = {f.dest: f for f in _FLAGS if command in f.cmds and f.name != "--config"}
+    argv = []
+    for key, value in obj.items():
+        flag = flags.get(key.replace("-", "_"))
+        if flag is None:
+            raise ValueError(f"{path}: key {key!r} is not a flag of {command}")
+        try:
+            argv += [] if value is None else _config_tokens(flag, value)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            raise ValueError(f"{path}: key {key!r} does not fit {flag.name}: {value!r}") from None
+    return argv
 
 
 def main(argv=None):
     """Entry point; returns the exit status instead of raising SystemExit."""
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config = _config_defaults(argv)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    parser, subparsers = _build_parser()
-    if config:
-        parser.set_defaults(**config)
-        for sp in subparsers.values():
-            sp.set_defaults(**config)
-    try:
+        if argv and argv[0] in _COMMANDS:  # --config FILE: flag tokens before the user's, which win
+            prepass = argparse.ArgumentParser(prog=f"suniv {argv[0]}", add_help=False)
+            _add_flags(prepass, argv[0], [f for f in _FLAGS if f.name == "--config"])
+            path = prepass.parse_known_args(argv[1:])[0].config
+            if path is not None:
+                argv[1:1] = _config_argv(argv[0], path)
+        parser = _build_parser()
+        if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+            parser.error(f"put flags after the subcommand (got {argv[0].split('=')[0]})")
         ns = parser.parse_args(argv)
+    except (OSError, ValueError) as exc:
+        print(f"error: config: {exc}", file=sys.stderr)
+        return 2
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:

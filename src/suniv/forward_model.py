@@ -284,8 +284,8 @@ class PriorParams:
     M: int = 3
 
     def __post_init__(self):
-        if self.s <= 0 or self.L <= 0:
-            raise ValueError("s and L must be positive")
+        if not (0.0 < self.s < math.inf and 0.0 < self.L < math.inf):
+            raise ValueError("s and L must be positive and finite")
         if self.J_max < 0:
             raise ValueError("J_max must be nonnegative")
 
@@ -431,6 +431,8 @@ def _draw_pairs(op, prior, sigma, N, rng):
 
     The draws keep that RNG order; the arithmetic after them runs once on the batch.
     """
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError("sigma must be nonnegative and finite")
     grid = op.grid
     F, noise = _draw_prior(prior, grid, N, rng, noise=True)
     scale = sigma * grid.h ** (-grid.dim / 2.0)
@@ -441,8 +443,6 @@ def make_training_set(op, prior, sigma, N, rng):
     """Draw N iid (Y_i, f_i) pairs from the prior and noise model."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
     Y, F = _draw_pairs(op, prior, sigma, N, rng)
     return TrainingSet(Y, F, float(sigma), op.grid, op.descriptor(), prior.descriptor())
 
@@ -512,4 +512,6 @@ def load_training_set(path):
     for name, arr in (("Y", Y), ("F", F)):
         if arr.shape != shape:
             raise ValueError(f"{path}: {name} has shape {arr.shape}, expected {shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: {name} holds non-finite values")
     return TrainingSet(Y, F, sigma, grid, op_desc, doc.get("prior"), doc.get("seed"))

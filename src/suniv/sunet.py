@@ -137,6 +137,9 @@ class SUNet:
         for name, arr in (("psi", self.psi), ("phi", self.phi)):
             if arr.shape != self.grid.shape:
                 raise ValueError(f"{name} must be sampled on the grid")
+        for name, arr in (("taus", self.taus), ("psi", self.psi), ("phi", self.phi)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
         nd = self.n_detail
         for name, filters in (("alpha", self.alpha), ("a", self.a)):
             if len(filters) != self.J:
@@ -155,6 +158,8 @@ class SUNet:
     def _check_filter(self, name, f):
         if not isinstance(f, DTensor) or f.dim != self.dim:
             raise ValueError(f"{name} filters must be {self.dim}-d DTensors")
+        if not np.isfinite(f.values).all():
+            raise ValueError(f"{name} filters must be finite")
 
     @property
     def n_detail(self):
@@ -443,16 +448,16 @@ def check_class_membership(net, params=None):
         tag = f"{name}[{j}]" if e is None else f"{name}[{j}][{e}]"
         if np.count_nonzero(f.values) > params.S_filter:
             violations.append(f"{tag}: support exceeds S_filter={params.S_filter}")
-        if l2_norm(f) > 1.0 + _NORM_TOL:
+        if not l2_norm(f) <= 1.0 + _NORM_TOL:  # NaN fails the test
             violations.append(f"{tag}: l2 norm {l2_norm(f):.6g} exceeds 1")
     for j, t in enumerate(net.taus):
         if not 0.0 <= t <= params.kappa_tau:
             violations.append(f"tau[{j}]={t:.6g} outside [0, {params.kappa_tau:.6g}]")
     qn = quadrature_norm(net.psi, net.grid)
-    if qn > params.C_psi_L2 * (1.0 + _NORM_TOL):
+    if not qn <= params.C_psi_L2 * (1.0 + _NORM_TOL):
         violations.append(f"psi L2 norm {qn:.6g} exceeds {params.C_psi_L2:.6g}")
     hr = sobolev_norm(net.psi, net.grid, params.r)
-    if hr > params.C_psi_Hr * 1.05:
+    if not hr <= params.C_psi_Hr * 1.05:
         violations.append(
             f"psi H^r proxy {hr:.6g} exceeds {params.C_psi_Hr:.6g} (with 5% slack)")
     return {"pass": not violations, "violations": violations}

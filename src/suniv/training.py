@@ -59,18 +59,18 @@ class TrainConfig:
     jitter: float = 0.0
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
+        if not 0.0 < self.step_size < np.inf:
+            raise ValueError("step_size must be positive and finite")
+        if not 0.0 <= self.rho < np.inf:
+            raise ValueError("rho must be nonnegative and finite")
         if not 0.0 < self.halving_factor < 1.0:
             raise ValueError("halving_factor must lie in (0, 1)")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be nonnegative")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if self.jitter < 0:
-            raise ValueError("jitter must be nonnegative")
+        if not 0.0 <= self.jitter < np.inf:
+            raise ValueError("jitter must be nonnegative and finite")
 
 
 @dataclass

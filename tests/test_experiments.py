@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -6,10 +7,13 @@ import numpy as np
 import pytest
 
 from suniv.experiments import (
+    _FLAGS,
     ExperimentFailure,
     SelectedParams,
     StabilityConfig,
     SweepConfig,
+    _build_parser,
+    _finite,
     deconvolution_sweep_config,
     denoising_sweep_config,
     main,
@@ -21,6 +25,8 @@ from suniv.experiments import (
     select_parameters,
     stability_suite,
 )
+from suniv.forward_model import Grid
+from suniv.sunet import preset_wavelet_thresholding, save_net
 
 
 class TestSelectParameters:
@@ -86,6 +92,13 @@ class TestSelectParameters:
         with pytest.raises(ValueError):
             select_parameters(**base)
 
+    @pytest.mark.parametrize("name", ["s", "beta", "sigma", "N", "a1"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_inputs(self, name, value):
+        base = {"s": 1, "beta": 0, "sigma": 0.1, "N": 100, "d": 1, "a1": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            select_parameters(**base)
+
     def test_to_dict_round_trips_through_json(self):
         sel = select_parameters(s=1, beta=2, sigma=0.25, N=64, d=1)
         d = json.loads(json.dumps(sel.to_dict()))
@@ -126,6 +139,14 @@ class TestSweepConfigs:
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):
+            SweepConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"sigma": math.nan}, {"sigma": math.inf}, {"sigmas": (0.5, math.nan, 0.2, 0.1)},
+        {"sigmas": (math.inf, 0.5, 0.2, 0.1)}, {"select_N": math.nan}, {"select_N": math.inf},
+    ])
+    def test_non_finite_configs(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
             SweepConfig(**kwargs)
 
 
@@ -425,6 +446,260 @@ class TestCli:
         assert code == 0
         assert read_json(tmp_path / "gen_data.json")["elapsed_seconds"] > 0
 
+    @pytest.mark.parametrize("args", [["--seed", "5"], ["--out", "elsewhere"], ["--timing"],
+                                      ["--boundary=zero"], ["--config", "cfg.json"]])
+    def test_flags_before_subcommand_rejected(self, tmp_path, monkeypatch, capsys, args):
+        monkeypatch.chdir(tmp_path)
+        assert main([*args, "gen-data", "--n-samples", "2", "--grid-n", "16"]) == 2
+        flag = args[0].split("=")[0]
+        assert f"error: put flags after the subcommand (got {flag})" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_matches_explicit_flags(self, tmp_path):
+        flags = {"seed": 3, "grid_n": 32, "prior-depth": 3, "j_cap": 2, "trials": 2,
+                 "preset": "denoising", "sigmas": [0.5, 0.25, 0.125, 0.0625],
+                 "estimator": "preset", "timing": False, "batch": None}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(flags))
+        assert main(["sweep-sigma", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        argv = ["sweep-sigma", "--seed", "3", "--grid-n", "32", "--prior-depth", "3",
+                "--j-cap", "2", "--trials", "2", "--preset", "denoising",
+                "--sigmas", "0.5", "0.25", "0.125", "0.0625", "--estimator", "preset",
+                "--out", str(tmp_path / "b")]
+        assert main(argv) == 0
+        for name in ("sweep_sigma.json", "sweep_sigma.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# The parser's flags at the commit before the flag table:
+# (subcommand, flag, default, type, choices, nargs, required).  Float flags
+# were type float, now the finite-only float type.  The required ones were
+# checked by hand in the command functions, with the same exit code 2.
+PINNED_FLAGS = [
+    ('params', '--seed', 0, 'int', None, None, False),
+    ('params', '--config', None, None, None, None, False),
+    ('params', '--out', '.', None, None, None, False),
+    ('params', '--boundary', 'periodic', None, ('zero', 'periodic'), None, False),
+    ('params', '--timing', False, None, None, 0, False),
+    ('params', '--s', None, 'float', None, None, True),
+    ('params', '--beta', None, 'float', None, None, True),
+    ('params', '--sigma', None, 'float', None, None, True),
+    ('params', '--n', None, 'float', None, None, True),
+    ('params', '--d', 1, 'int', (1, 2), None, False),
+    ('params', '--a1', 1.0, 'float', None, None, False),
+    ('gen-data', '--seed', 0, 'int', None, None, False),
+    ('gen-data', '--config', None, None, None, None, False),
+    ('gen-data', '--out', '.', None, None, None, False),
+    ('gen-data', '--boundary', 'periodic', None, ('zero', 'periodic'), None, False),
+    ('gen-data', '--timing', False, None, None, 0, False),
+    ('gen-data', '--operator', 'identity', None, ('identity', 'sobolev'), None, False),
+    ('gen-data', '--op-l', 1, 'int', None, None, False),
+    ('gen-data', '--sigma', 0.25, 'float', None, None, False),
+    ('gen-data', '--d', 1, 'int', (1, 2), None, False),
+    ('gen-data', '--grid-n', 64, 'int', None, None, False),
+    ('gen-data', '--s', 1.0, 'float', None, None, False),
+    ('gen-data', '--prior-l', 1.0, 'float', None, None, False),
+    ('gen-data', '--prior-depth', 2, 'int', None, None, False),
+    ('gen-data', '--prior-m', 3, 'int', None, None, False),
+    ('gen-data', '--n-samples', 64, 'int', None, None, False),
+    ('gen-data', '--binary', False, None, None, 0, False),
+    ('train', '--seed', 0, 'int', None, None, False),
+    ('train', '--config', None, None, None, None, False),
+    ('train', '--out', '.', None, None, None, False),
+    ('train', '--boundary', 'periodic', None, ('zero', 'periodic'), None, False),
+    ('train', '--timing', False, None, None, 0, False),
+    ('train', '--operator', 'identity', None, ('identity', 'sobolev'), None, False),
+    ('train', '--op-l', 1, 'int', None, None, False),
+    ('train', '--sigma', 0.25, 'float', None, None, False),
+    ('train', '--d', 1, 'int', (1, 2), None, False),
+    ('train', '--grid-n', 64, 'int', None, None, False),
+    ('train', '--s', 1.0, 'float', None, None, False),
+    ('train', '--prior-l', 1.0, 'float', None, None, False),
+    ('train', '--prior-depth', 2, 'int', None, None, False),
+    ('train', '--prior-m', 3, 'int', None, None, False),
+    ('train', '--data', None, None, None, None, False),
+    ('train', '--n-samples', 64, 'int', None, None, False),
+    ('train', '--init', 'preset', None, ('preset', 'random'), None, False),
+    ('train', '--m', 3, 'int', None, None, False),
+    ('train', '--j', None, 'int', None, None, False),
+    ('train', '--epochs', 100, 'int', None, None, False),
+    ('train', '--step', 0.5, 'float', None, None, False),
+    ('train', '--batch', None, 'int', None, None, False),
+    ('train', '--rho-frac', 0.05, 'float', None, None, False),
+    ('train', '--jitter', 0.0, 'float', None, None, False),
+    ('eval', '--seed', 0, 'int', None, None, False),
+    ('eval', '--config', None, None, None, None, False),
+    ('eval', '--out', '.', None, None, None, False),
+    ('eval', '--boundary', 'periodic', None, ('zero', 'periodic'), None, False),
+    ('eval', '--timing', False, None, None, 0, False),
+    ('eval', '--operator', 'identity', None, ('identity', 'sobolev'), None, False),
+    ('eval', '--op-l', 1, 'int', None, None, False),
+    ('eval', '--sigma', 0.25, 'float', None, None, False),
+    ('eval', '--d', 1, 'int', (1, 2), None, False),
+    ('eval', '--grid-n', 64, 'int', None, None, False),
+    ('eval', '--s', 1.0, 'float', None, None, False),
+    ('eval', '--prior-l', 1.0, 'float', None, None, False),
+    ('eval', '--prior-depth', 2, 'int', None, None, False),
+    ('eval', '--prior-m', 3, 'int', None, None, False),
+    ('eval', '--model', None, None, None, None, True),
+    ('eval', '--trials', 100, 'int', None, None, False),
+    ('sweep-sigma', '--seed', 0, 'int', None, None, False),
+    ('sweep-sigma', '--config', None, None, None, None, False),
+    ('sweep-sigma', '--out', '.', None, None, None, False),
+    ('sweep-sigma', '--boundary', 'periodic', None, ('zero', 'periodic'), None, False),
+    ('sweep-sigma', '--timing', False, None, None, 0, False),
+    ('sweep-sigma', '--preset', 'denoising', None, ('denoising', 'deconvolution'), None, False),
+    ('sweep-sigma', '--operator', None, None, ('identity', 'sobolev'), None, False),
+    ('sweep-sigma', '--op-l', None, 'int', None, None, False),
+    ('sweep-sigma', '--s', None, 'float', None, None, False),
+    ('sweep-sigma', '--d', None, 'int', (1, 2), None, False),
+    ('sweep-sigma', '--grid-n', None, 'int', None, None, False),
+    ('sweep-sigma', '--prior-l', None, 'float', None, None, False),
+    ('sweep-sigma', '--prior-depth', None, 'int', None, None, False),
+    ('sweep-sigma', '--prior-m', None, 'int', None, None, False),
+    ('sweep-sigma', '--m', None, 'int', None, None, False),
+    ('sweep-sigma', '--j', None, 'int', None, None, False),
+    ('sweep-sigma', '--j-cap', None, 'int', None, None, False),
+    ('sweep-sigma', '--trials', None, 'int', None, None, False),
+    ('sweep-sigma', '--estimator', None, None, ('preset', 'trained'), None, False),
+    ('sweep-sigma', '--epochs', None, 'int', None, None, False),
+    ('sweep-sigma', '--step', None, 'float', None, None, False),
+    ('sweep-sigma', '--batch', None, 'int', None, None, False),
+    ('sweep-sigma', '--rho-frac', None, 'float', None, None, False),
+    ('sweep-sigma', '--sigmas', None, 'float', None, '+', False),
+    ('sweep-sigma', '--select-n', None, 'float', None, None, False),
+    ('sweep-sigma', '--n-train', None, 'int', None, None, False),
+    ('sweep-n', '--seed', 0, 'int', None, None, False),
+    ('sweep-n', '--config', None, None, None, None, False),
+    ('sweep-n', '--out', '.', None, None, None, False),
+    ('sweep-n', '--boundary', 'periodic', None, ('zero', 'periodic'), None, False),
+    ('sweep-n', '--timing', False, None, None, 0, False),
+    ('sweep-n', '--operator', None, None, ('identity', 'sobolev'), None, False),
+    ('sweep-n', '--op-l', None, 'int', None, None, False),
+    ('sweep-n', '--s', None, 'float', None, None, False),
+    ('sweep-n', '--d', None, 'int', (1, 2), None, False),
+    ('sweep-n', '--grid-n', None, 'int', None, None, False),
+    ('sweep-n', '--prior-l', None, 'float', None, None, False),
+    ('sweep-n', '--prior-depth', None, 'int', None, None, False),
+    ('sweep-n', '--prior-m', None, 'int', None, None, False),
+    ('sweep-n', '--m', None, 'int', None, None, False),
+    ('sweep-n', '--j', None, 'int', None, None, False),
+    ('sweep-n', '--j-cap', None, 'int', None, None, False),
+    ('sweep-n', '--trials', None, 'int', None, None, False),
+    ('sweep-n', '--estimator', None, None, ('preset', 'trained'), None, False),
+    ('sweep-n', '--epochs', None, 'int', None, None, False),
+    ('sweep-n', '--step', None, 'float', None, None, False),
+    ('sweep-n', '--batch', None, 'int', None, None, False),
+    ('sweep-n', '--rho-frac', None, 'float', None, None, False),
+    ('sweep-n', '--n-list', None, 'int', None, '+', False),
+    ('sweep-n', '--sigma', None, 'float', None, None, False),
+    ('stability', '--seed', 0, 'int', None, None, False),
+    ('stability', '--config', None, None, None, None, False),
+    ('stability', '--out', '.', None, None, None, False),
+    ('stability', '--boundary', 'periodic', None, ('zero', 'periodic'), None, False),
+    ('stability', '--timing', False, None, None, 0, False),
+    ('stability', '--size-trials', None, 'int', None, None, False),
+    ('stability', '--perturb-trials', None, 'int', None, None, False),
+    ('stability', '--distance-trials', None, 'int', None, None, False),
+    ('stability', '--risk-bound-instances', None, 'int', None, None, False),
+    ('stability', '--risk-bound-draws', None, 'int', None, None, False),
+    ('stability', '--j', None, 'int', None, None, False),
+    ('stability', '--dim', None, 'int', (1, 2), None, False),
+    ('stability', '--grid-n', None, 'int', None, None, False),
+    ('stability', '--replay', None, None, None, None, False),
+    ('oracle-check', '--seed', 0, 'int', None, None, False),
+    ('oracle-check', '--config', None, None, None, None, False),
+    ('oracle-check', '--out', '.', None, None, None, False),
+    ('oracle-check', '--boundary', 'periodic', None, ('zero', 'periodic'), None, False),
+    ('oracle-check', '--timing', False, None, None, 0, False),
+    ('oracle-check', '--roundtrip-trials', 40, 'int', None, None, False),
+    ('oracle-check', '--oracle-trials', 20, 'int', None, None, False),
+]
+
+
+def _parser_flags():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    types = {None: None, int: "int", _finite: "float"}
+    return [(cmd, a.option_strings[0], a.default, types[a.type], a.choices, a.nargs, a.required)
+            for cmd, p in sub.choices.items() for a in p._actions if a.dest != "help"]
+
+
+def test_parser_flags_pinned():
+    """No flag is renamed, dropped, added or re-defaulted by the flag table."""
+    flags = _parser_flags()
+    assert len(flags) == len(set(flags)) == 138
+    assert sorted(flags, key=repr) == sorted(PINNED_FLAGS, key=repr)
+
+
+def test_one_row_per_flag():
+    names = [f.name for f in _FLAGS]
+    assert len(names) == len(set(names)) == 46
+
+
+# Cheap valid flags for each subcommand, so that a bad value that got past the
+# checks would still finish quickly instead of running a default experiment.
+_CHEAP = {
+    "params": {"--s": "1", "--beta": "0", "--sigma": "0.1", "--n": "100"},
+    "gen-data": {"--n-samples": "2", "--grid-n": "16"},
+    "train": {"--n-samples": "2", "--grid-n": "16", "--epochs": "1", "--m": "1"},
+    "eval": {"--model": "MODEL", "--trials": "2"},
+    "sweep-sigma": {"--trials": "2", "--grid-n": "32", "--prior-depth": "3", "--j-cap": "2",
+                    "--sigmas": ["0.5", "0.25", "0.125", "0.0625"]},
+    "sweep-n": {"--trials": "2", "--n-list": ["2", "3"], "--epochs": "1"},
+    "stability": {"--size-trials": "0", "--perturb-trials": "0", "--distance-trials": "0",
+                  "--risk-bound-instances": "0"},
+    "oracle-check": {"--roundtrip-trials": "0", "--oracle-trials": "0"},
+}
+
+
+def _bad_value_cases():
+    """(subcommand, flag, argv tokens, --config object or None) for every numeric flag."""
+    cases = []
+    for cmd in _CHEAP:
+        for f in _FLAGS:
+            if cmd not in f.cmds or f.type not in (int, _finite):
+                continue
+            dest = f.name[2:].replace("-", "_")
+            if f.type is _finite:
+                cases += [(cmd, f.name, [f.name, bad], None) for bad in ("nan", "inf")]
+            wrong = 5 if f.nargs else (2.5 if f.type is int else [0.5])
+            cases.append((cmd, f.name, [], {dest: wrong}))
+            cases.append((cmd, f.name, [], {dest + "_x": 1}))
+        cases.append((cmd, "--seed", [], {"seed": True}))
+        cases.append((cmd, "--out", [], {"out": {"dir": "x"}}))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_net(preset_wavelet_thresholding(1, 2, np.zeros(2), Grid(1, 16)), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("cmd,flag,args,config", _bad_value_cases(),
+                         ids=lambda v: json.dumps(v) if isinstance(v, (list, dict)) else str(v))
+def test_bad_flag_value_is_usage_error(tmp_path, capsys, model_file, cmd, flag, args, config):
+    """nan and inf on the command line, and a --config value of the wrong type or
+    under an unknown key, exit 2 with an error and write nothing."""
+    argv = [cmd, "--out", str(tmp_path / "out")]
+    for name, value in _CHEAP[cmd].items():
+        if name[2:].replace("-", "_") not in (config or {}):
+            value = model_file if value == "MODEL" else value
+            argv += [name, *value] if isinstance(value, list) else [name, value]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv + args) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    if config is None:
+        assert f"argument {flag}: not a finite number" in err
+    else:
+        assert "cfg.json" in err and repr(next(iter(config))) in err
+    assert not (tmp_path / "out").exists()
+
 
 class TestCliBadData:
     """Missing or corrupt input files exit with the usage code 2, no traceback."""
@@ -505,6 +780,15 @@ class TestCliBadData:
         assert self._train(tmp_path, path) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "'grid'" in err
+
+    def test_non_finite_net_parameter(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        save_net(preset_wavelet_thresholding(1, 2, np.zeros(2), Grid(1, 16)), path)
+        doc = read_json(path)
+        doc["taus"][0] = float("nan")
+        path.write_text(json.dumps(doc))
+        assert main(["eval", "--model", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert "taus must be finite" in capsys.readouterr().err
 
     def test_net_missing_key(self, tmp_path, capsys):
         path = tmp_path / "model.json"

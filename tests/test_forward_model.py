@@ -199,6 +199,12 @@ class TestPrior:
         with pytest.raises(ValueError, match="2\\^"):
             sample_prior(PriorParams(1.0, 1.0, J_max=5), Grid(1, 32), make_rng(0))
 
+    @pytest.mark.parametrize("s,L", [(0.0, 1.0), (1.0, -1.0), (math.nan, 1.0),
+                                     (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)])
+    def test_bad_smoothness_or_amplitude_rejected(self, s, L):
+        with pytest.raises(ValueError, match="s and L"):
+            PriorParams(s, L, J_max=2)
+
     def test_level_variance_smoke(self):
         # variance of recovered level-2 coefficients matches the law
         grid = Grid(1, 512)
@@ -287,6 +293,23 @@ class TestTrainingSet:
                     for i in range(ts.n_samples)]
         want = sigma ** 2 * grid.size  # E ||noise||_quad^2 = sigma^2 n^d
         assert np.mean(energies) == pytest.approx(want, rel=0.05)
+
+    @pytest.mark.parametrize("sigma", [-0.5, math.nan, math.inf])
+    def test_bad_sigma_rejected(self, sigma):
+        grid = Grid(1, 32)
+        with pytest.raises(ValueError, match="sigma"):
+            make_training_set(identity_operator(grid), PriorParams(1.0, 1.0, 2), sigma, 3,
+                              make_rng(1))
+
+    @pytest.mark.parametrize("field", ["Y", "F"])
+    def test_load_rejects_non_finite(self, tmp_path, field):
+        grid = Grid(1, 32)
+        ts = make_training_set(identity_operator(grid), PriorParams(1.0, 1.0, 2), 0.1, 3,
+                               make_rng(1))
+        getattr(ts, field)[1, 4] = math.inf
+        save_training_set(ts, tmp_path / "ts.npz")
+        with pytest.raises(ValueError, match=f"{field} holds non-finite"):
+            load_training_set(tmp_path / "ts.npz")
 
     def test_json_roundtrip_bit_exact(self, tmp_path):
         grid = Grid(1, 32)

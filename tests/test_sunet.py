@@ -1,5 +1,7 @@
 """Tests for the network: forward/backward, projection, presets, bounds."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -685,6 +687,44 @@ class TestValidation:
             SUNet(J=3, dim=1, alpha=net.alpha, beta=net.beta, a=net.a, b=net.b,
                   taus=np.zeros(3), psi=net.psi, phi=net.phi, grid=grid,
                   boundary="reflect")
+
+    @pytest.mark.parametrize("part", ["alpha", "b", "taus", "psi", "phi"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_constructor_rejects_non_finite(self, part, value):
+        net = preset_wavelet_thresholding(2, 3, np.full(3, 0.1), Grid(1, 64))
+        fields = {"alpha": net.alpha, "beta": net.beta, "a": net.a, "b": net.b,
+                  "taus": net.taus.copy(), "psi": net.psi.copy(), "phi": net.phi.copy()}
+        if part in ("alpha", "b"):
+            f = net.alpha[1] if part == "alpha" else net.b[0][0]
+            f.values[0] = value
+        else:
+            fields[part][0] = value
+        with pytest.raises(ValueError, match=f"{part}.*finite"):
+            SUNet(J=3, dim=1, grid=net.grid, **fields)
+
+    def test_load_net_rejects_non_finite(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_net(preset_wavelet_thresholding(1, 2, np.zeros(2), Grid(1, 16)), path)
+        doc = json.loads(path.read_text())
+        doc["taus"][0] = float("nan")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="taus must be finite"):
+            load_net(path)
+
+    def test_membership_reports_non_finite_filter(self):
+        net = preset_wavelet_thresholding(2, 3, np.full(3, 0.1), Grid(1, 64))
+        net.beta[2][0].values[1] = np.nan
+        report = check_class_membership(net)
+        assert not report["pass"]
+        assert report["violations"] == ["beta[2][0]: l2 norm nan exceeds 1"]
+
+    def test_membership_reports_non_finite_psi(self):
+        net = preset_wavelet_thresholding(2, 3, np.full(3, 0.1), Grid(1, 64))
+        net.psi[5] = np.nan
+        with np.errstate(invalid="ignore"):
+            report = check_class_membership(net)
+        assert not report["pass"]
+        assert any(v.startswith("psi L2 norm") for v in report["violations"])
 
     def test_class_params_validation(self):
         with pytest.raises(ValueError):

@@ -71,6 +71,12 @@ class TestTrainConfig:
             {"max_epochs": -1},
             {"batch_size": 0},
             {"jitter": -1e-9},
+            {"step_size": float("nan")},
+            {"step_size": float("inf")},
+            {"rho": float("nan")},
+            {"rho": float("inf")},
+            {"jitter": float("nan")},
+            {"jitter": float("inf")},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -300,6 +306,12 @@ class TestTestRisk:
         net = preset_wavelet_thresholding(1, 3, np.zeros(3), GRID)
         with pytest.raises(ValueError):
             test_risk(net, OP, haar_prior(), 0.5, 1, make_rng(9, (4,)))
+
+    @pytest.mark.parametrize("sigma", [-0.5, float("nan"), float("inf")])
+    def test_bad_sigma_rejected(self, sigma):
+        net = preset_wavelet_thresholding(1, 3, np.zeros(3), GRID)
+        with pytest.raises(ValueError, match="sigma"):
+            test_risk(net, OP, haar_prior(), sigma, 4, make_rng(9, (5,)))
 
 
 class TestClaim2:
